@@ -17,6 +17,21 @@ cargo build --workspace --release
 echo "==> tests"
 cargo test --workspace -q
 
+# The end-to-end benchmark is its own cargo package built against the
+# workspace crates, so this smoke keeps it compiling through API changes.
+# Its last line is one JSON object keyed by workload; every workload must
+# report "correct": true (residual check and bitwise-repeatable counts).
+echo "==> ttsbench smoke (end-to-end benchmark, every workload correct)"
+python3 ttsbench/run.py --workload all --seconds 2 > target/ttsbench_smoke.txt
+tail -n 1 target/ttsbench_smoke.txt | python3 -c '
+import json, sys
+res = json.load(sys.stdin)
+bad = [w for w, r in res.items() if r.get("correct") is not True]
+if not res or bad:
+    sys.exit("ttsbench smoke: incorrect workloads: %s" % (bad or "none reported"))
+print("ttsbench smoke: %d workloads correct" % len(res))
+'
+
 echo "==> chaos (seeded fault-injection suite, quick)"
 cargo run -q -p xtask --release -- chaos --quick
 

@@ -5,12 +5,11 @@
 //! * [`serial`] — the classic row-wise algorithms: **ILUT(m, t)** (paper
 //!   Algorithm 2.1, after Saad), the static-pattern baselines **ILU(0)** and
 //!   **ILU(k)**, and the corresponding serial triangular solves;
-//! * [`factors`] — the shared `L`/`U` storage (sorted sparse rows, unit
-//!   lower-triangular `L`, diagonal-first `U`);
-//! * [`block_factors`] — the blocked (BCSR-tile) factor storage with
-//!   level-scheduled tile trisolves (single vector and `n × k` panel) fed
-//!   by [`serial::block_ilut`], plus the exact scalar refinement bridging
-//!   back to [`factors::LuFactors`];
+//! * [`factors`] — the one serial factor layout: CSR arenas of dense
+//!   `b × b` tiles (`b = 1` for the scalar kernels, up to 4 for
+//!   [`serial::block_ilut`]) with unit lower-triangular `L`, factored
+//!   diagonal tiles, and natural-order triangular sweeps (single vector and
+//!   `n × k` panel);
 //! * [`precond`] — the preconditioner interface consumed by the solver
 //!   crate, with ILU and diagonal implementations;
 //! * [`dist`] — the distributed matrix: a partition-driven row distribution
@@ -27,7 +26,6 @@
 //! * [`breakdown`] — the [`breakdown::PivotDoctor`] that applies one
 //!   breakdown policy identically across every kernel.
 
-pub mod block_factors;
 pub mod breakdown;
 pub mod dist;
 pub mod factors;
@@ -37,8 +35,7 @@ pub mod precond;
 pub mod serial;
 pub mod trisolve;
 
-pub use block_factors::{BlockLuFactors, BlockTileRow};
 pub use breakdown::PivotDoctor;
-pub use factors::{LuFactors, SparseRow};
+pub use factors::LuFactors;
 pub use options::{BreakdownPolicy, FactorError, IlutOptions};
 pub use serial::{block_ilut, ilu0, iluk, ilut};

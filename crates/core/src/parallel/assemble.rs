@@ -7,8 +7,8 @@
 //! tests, debuggers, and single-node consumers apply or inspect a parallel
 //! factorization with the plain serial machinery.
 
-use crate::factors::{LuFactors, SparseRow};
-use crate::parallel::RankFactors;
+use crate::factors::LuFactors;
+use crate::parallel::{FactorRow, RankFactors};
 use pilut_sparse::Permutation;
 
 /// The assembled form of a distributed factorization.
@@ -62,24 +62,28 @@ pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors 
     assert_eq!(order.len(), n, "rank outputs do not cover the matrix");
     let perm = Permutation::from_old_order(&order);
 
-    let mut l_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
-    let mut u_rows: Vec<SparseRow> = vec![SparseRow::default(); n];
+    let mut row_of: Vec<Option<&FactorRow>> = vec![None; n];
     for rf in per_rank {
         for (&node, row) in &rf.rows {
-            let pos = perm.new_of(node);
-            let l: Vec<(usize, f64)> = row.l.iter().map(|&(c, v)| (perm.new_of(c), v)).collect();
-            let mut u: Vec<(usize, f64)> =
-                row.u.iter().map(|&(c, v)| (perm.new_of(c), v)).collect();
-            u.push((pos, row.diag));
-            l_rows[pos] = SparseRow::from_pairs(l);
-            u_rows[pos] = SparseRow::from_pairs(u);
+            row_of[node] = Some(row);
         }
     }
-    let factors = LuFactors {
-        n,
-        l: l_rows,
-        u: u_rows,
-    };
+    let rows = || per_rank.iter().flat_map(|rf| rf.rows.values());
+    let nnz_l = rows().map(|r| r.l.len()).sum();
+    let nnz_u = rows().map(|r| r.u.len()).sum();
+    let mut factors = LuFactors::with_capacity(n, 1, nnz_l, nnz_u);
+    let (mut l, mut u) = (Vec::new(), Vec::new());
+    for (pos, &node) in order.iter().enumerate() {
+        let row = row_of[node].unwrap_or_else(|| panic!("no rank output for node {node}"));
+        l.clear();
+        l.extend(row.l.iter().map(|&(c, v)| (perm.new_of(c), v)));
+        l.sort_unstable_by_key(|&(c, _)| c);
+        u.clear();
+        u.push((pos, row.diag));
+        u.extend(row.u.iter().map(|&(c, v)| (perm.new_of(c), v)));
+        u.sort_unstable_by_key(|&(c, _)| c);
+        factors.push_row(&l, &u);
+    }
     debug_assert!(
         factors.check_structure().is_ok(),
         "{:?}",

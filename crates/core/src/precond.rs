@@ -1,9 +1,9 @@
 //! Preconditioner interface and serial implementations.
 
-use crate::block_factors::BlockLuFactors;
 use crate::factors::LuFactors;
 use crate::options::FactorError;
 use pilut_sparse::CsrMatrix;
+use std::sync::{Mutex, PoisonError};
 
 /// A preconditioner `M`: given a residual-like vector `r`, produces
 /// `z ≈ M⁻¹ r`.
@@ -90,26 +90,39 @@ impl Preconditioner for DiagonalPreconditioner {
     }
 }
 
-/// Incomplete-LU preconditioning: `M⁻¹ r = U⁻¹ L⁻¹ r`.
+/// Incomplete-LU preconditioning: `M⁻¹ r = U⁻¹ L⁻¹ r`, for scalar and
+/// blocked factors alike.
 pub struct IluPreconditioner {
     factors: LuFactors,
     label: String,
+    /// Padded solve buffer, present only when the block size does not
+    /// divide `n`: the sweeps then work over `padded_len() > n` lanes, so
+    /// the in-place apply stages through this scratch (reserved once here)
+    /// and copies the first `n` lanes out. Otherwise the sweeps run
+    /// directly in the caller's buffer. Behind a mutex because `apply_into`
+    /// takes `&self` — preconditioners are shared immutably by the solvers.
+    padded: Option<Mutex<Vec<f64>>>,
 }
 
 impl IluPreconditioner {
-    /// Wraps factors as a preconditioner with a default label.
+    /// Wraps factors as a preconditioner, labelled `ILU` (or `BILU(b)` for
+    /// blocked factors).
     pub fn new(factors: LuFactors) -> Self {
-        IluPreconditioner {
-            factors,
-            label: "ILU".to_string(),
-        }
+        let label = match factors.block_size() {
+            1 => "ILU".to_string(),
+            b => format!("BILU({b})"),
+        };
+        Self::with_label(factors, label)
     }
 
     /// Wraps factors with a custom label for reporting.
     pub fn with_label(factors: LuFactors, label: impl Into<String>) -> Self {
+        let padded = (factors.padded_len() != factors.n())
+            .then(|| Mutex::new(vec![0.0; factors.padded_len()]));
         IluPreconditioner {
             factors,
             label: label.into(),
+            padded,
         }
     }
 
@@ -125,62 +138,16 @@ impl Preconditioner for IluPreconditioner {
     }
 
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        self.factors.solve_into(r, z);
-    }
-
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-}
-
-/// Blocked incomplete-LU preconditioning: `M⁻¹ r` through the
-/// level-scheduled tile sweeps of [`BlockLuFactors`] — the dense-tile
-/// counterpart of [`IluPreconditioner`] for factors out of
-/// [`crate::serial::block_ilut`].
-pub struct BlockIluPreconditioner {
-    factors: BlockLuFactors,
-    label: String,
-    /// Padded solve buffer for [`Preconditioner::apply_into`]: the blocked
-    /// sweeps work over `n_brows · b` lanes, so the in-place apply stages
-    /// through this scratch (reserved once at construction) and copies the
-    /// first `n` lanes out. Interior-mutable because `apply_into` takes
-    /// `&self` — preconditioners are shared immutably by the solvers.
-    padded: std::cell::RefCell<Vec<f64>>,
-}
-
-impl BlockIluPreconditioner {
-    /// Wraps blocked factors as a preconditioner, labelled by block size
-    /// (e.g. `BILU(4)`).
-    pub fn new(factors: BlockLuFactors) -> Self {
-        let label = format!("BILU({})", factors.block_size());
-        Self::with_label(factors, label)
-    }
-
-    /// Wraps blocked factors with a custom label for reporting.
-    pub fn with_label(factors: BlockLuFactors, label: impl Into<String>) -> Self {
-        let padded = std::cell::RefCell::new(vec![0.0; factors.padded_len()]);
-        BlockIluPreconditioner {
-            factors,
-            label: label.into(),
-            padded,
+        match &self.padded {
+            None => self.factors.solve_into(r, z),
+            Some(padded) => {
+                // Every solve overwrites the whole scratch, so a guard
+                // poisoned by an earlier panic holds nothing to distrust.
+                let mut padded = padded.lock().unwrap_or_else(PoisonError::into_inner);
+                self.factors.solve_into(r, &mut padded);
+                z.copy_from_slice(&padded[..z.len()]);
+            }
         }
-    }
-
-    /// The underlying blocked factors.
-    pub fn factors(&self) -> &BlockLuFactors {
-        &self.factors
-    }
-}
-
-impl Preconditioner for BlockIluPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        self.factors.solve(r)
-    }
-
-    fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        let mut padded = self.padded.borrow_mut();
-        self.factors.solve_into(r, &mut padded);
-        z.copy_from_slice(&padded[..z.len()]);
     }
 
     fn name(&self) -> String {
@@ -227,18 +194,22 @@ mod tests {
     }
 
     #[test]
-    fn block_ilu_preconditioner_applies_blocked_factors() {
+    fn ilu_preconditioner_applies_blocked_factors() {
         use pilut_sparse::BcsrMatrix;
-        let a = gen::laplace_2d(5, 5);
-        let ab = BcsrMatrix::from_csr(&a, 4);
-        let f = block_ilut(&ab, &IlutOptions::new(25, 0.0)).unwrap();
+        let a = gen::laplace_2d(5, 5); // n = 25: b = 4 pads, b = 1 does not
         let x_true = vec![2.0; 25];
         let b = a.spmv_owned(&x_true);
-        let p = BlockIluPreconditioner::new(f);
-        assert_eq!(p.name(), "BILU(4)");
-        let x = p.apply(&b);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-9);
+        for (bs, name) in [(4, "BILU(4)"), (1, "ILU")] {
+            let ab = BcsrMatrix::from_csr(&a, bs);
+            let f = block_ilut(&ab, &IlutOptions::new(25, 0.0)).unwrap();
+            let p = IluPreconditioner::new(f);
+            assert_eq!(p.name(), name);
+            let mut z = vec![0.0; 25];
+            p.apply_into(&b, &mut z);
+            assert_eq!(z, p.apply(&b), "{name}: apply_into vs apply");
+            for (xi, ti) in z.iter().zip(&x_true) {
+                assert!((xi - ti).abs() < 1e-9, "{name}");
+            }
         }
     }
 }

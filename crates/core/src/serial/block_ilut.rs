@@ -28,8 +28,8 @@
 //! under the recovery policies a poisoned factor keeps an explicit zero
 //! where the scalar kernel removes the entry.
 
-use crate::block_factors::{BlockLuFactors, BlockTileRow};
 use crate::breakdown::{PivotDoctor, PivotFault, PivotFix};
+use crate::factors::LuFactors;
 use crate::options::{FactorError, FactorStats, IlutOptions};
 use crate::serial::drop_rules::selection_cost;
 use pilut_sparse::tile;
@@ -132,7 +132,7 @@ const MAX_DIAG_REPAIRS: usize = 64;
 /// block-upper part of each block row; `tau` scales the per-block-row
 /// Frobenius norm into the drop threshold. See the module docs for the
 /// scalar correspondence.
-pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<BlockLuFactors, FactorError> {
+pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<LuFactors, FactorError> {
     block_ilut_with_stats(a, opts).map(|(f, _)| f)
 }
 
@@ -142,7 +142,7 @@ pub fn block_ilut(a: &BcsrMatrix, opts: &IlutOptions) -> Result<BlockLuFactors, 
 pub fn block_ilut_with_stats(
     a: &BcsrMatrix,
     opts: &IlutOptions,
-) -> Result<(BlockLuFactors, FactorStats), FactorError> {
+) -> Result<(LuFactors, FactorStats), FactorError> {
     assert_eq!(a.n_rows(), a.n_cols(), "blocked ILUT needs a square matrix");
     opts.validate()?;
     let n = a.n_rows();
@@ -150,9 +150,7 @@ pub fn block_ilut_with_stats(
     let bb = b * b;
     let nb = a.n_brows();
     let mut doctor = PivotDoctor::new(opts.breakdown);
-    let mut l_rows: Vec<BlockTileRow> = Vec::with_capacity(nb);
-    let mut u_rows: Vec<BlockTileRow> = Vec::with_capacity(nb);
-    let mut diag_lus: Vec<f64> = Vec::with_capacity(nb * bb);
+    let mut f = LuFactors::with_fill_cap(n, b, opts.m, a.n_tiles());
     let mut w = LanedRow::new(nb, bb);
     let mut stats = FactorStats::default();
     let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
@@ -162,6 +160,9 @@ pub fn block_ilut_with_stats(
     let mut lanes_buf: Vec<f64> = Vec::new();
     let mut lower: Vec<TileRef> = Vec::new();
     let mut upper: Vec<TileRef> = Vec::new();
+    // The surviving strict tiles of the current block row.
+    let (mut l_cols, mut l_tiles) = (Vec::new(), Vec::new());
+    let (mut u_cols, mut u_tiles) = (Vec::new(), Vec::new());
     let mut mbuf = [0.0f64; tile::MAX_BLOCK * tile::MAX_BLOCK];
 
     for bi in 0..nb {
@@ -188,7 +189,7 @@ pub fn block_ilut_with_stats(
             }
             // M = W_k · U_kk⁻¹ against block row k's factored diagonal.
             mbuf[..bb].copy_from_slice(w.lane(k));
-            tile::lu_right_solve(b, &diag_lus[k * bb..(k + 1) * bb], &mut mbuf[..bb]);
+            tile::lu_right_solve(b, f.diag(k), &mut mbuf[..bb]);
             stats.flops += (bb * b) as f64;
             // First dropping rule, on the multiplier tile's magnitude.
             if tile::tile_mag(b, &mbuf[..bb]) < tau_i {
@@ -197,21 +198,16 @@ pub fn block_ilut_with_stats(
             }
             w.set_lane(k, &mbuf[..bb]);
             // W -= M · U_k over the pivot's strict block-upper tiles.
-            let urow = &u_rows[k];
-            for (t, &j) in urow.cols.iter().enumerate() {
+            let (ucols, utiles) = f.u_row(k);
+            for (ut, &j) in utiles.chunks_exact(bb).zip(ucols) {
                 let newly = !w.contains(j);
-                tile::gemm_sub(
-                    b,
-                    w.occupy(j),
-                    &mbuf[..bb],
-                    &urow.tiles[t * bb..(t + 1) * bb],
-                );
+                tile::gemm_sub(b, w.occupy(j), &mbuf[..bb], ut);
                 if newly && j < bi && !in_heap[j] {
                     in_heap[j] = true;
                     heap.push(Reverse(j));
                 }
             }
-            stats.flops += 2.0 * (bb * b) as f64 * urow.len() as f64;
+            stats.flops += 2.0 * (bb * b) as f64 * ucols.len() as f64;
         }
         // Second dropping rule at tile granularity.
         w.drain_sorted_lanes_into(&mut cols_buf, &mut lanes_buf);
@@ -231,13 +227,14 @@ pub fn block_ilut_with_stats(
         threshold_and_cap_tiles(&mut upper, tau_i, opts.m, Some(bi));
         // Materialise the survivors; the diagonal tile (if stored) leads
         // `upper` after the column sort.
-        let mut lrow = BlockTileRow::default();
+        l_cols.clear();
+        l_tiles.clear();
         for r in &lower {
-            lrow.cols.push(r.col);
-            lrow.tiles
-                .extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
+            l_cols.push(r.col);
+            l_tiles.extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
         }
-        let mut urow = BlockTileRow::default();
+        u_cols.clear();
+        u_tiles.clear();
         let mut diag: Option<[f64; tile::MAX_BLOCK * tile::MAX_BLOCK]> = None;
         for r in &upper {
             if r.col == bi {
@@ -245,15 +242,14 @@ pub fn block_ilut_with_stats(
                 d[..bb].copy_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
                 diag = Some(d);
             } else {
-                urow.cols.push(r.col);
-                urow.tiles
-                    .extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
+                u_cols.push(r.col);
+                u_tiles.extend_from_slice(&lanes_buf[r.idx * bb..(r.idx + 1) * bb]);
             }
         }
         // Breakdown handling: scrub, classify the diagonal, factor it with
         // lane-level repair.
-        scrub_tiles(&mut doctor, bi * b, b, &mut lrow.tiles)?;
-        scrub_tiles(&mut doctor, bi * b, b, &mut urow.tiles)?;
+        scrub_tiles(&mut doctor, bi * b, b, &mut l_tiles)?;
+        scrub_tiles(&mut doctor, bi * b, b, &mut u_tiles)?;
         if let Some(d) = diag.as_mut() {
             scrub_tiles(&mut doctor, bi * b, b, &mut d[..bb])?;
         }
@@ -273,8 +269,10 @@ pub fn block_ilut_with_stats(
                         }
                     }
                     PivotFix::ReplaceRow(dv) => {
-                        lrow = BlockTileRow::default();
-                        urow = BlockTileRow::default();
+                        l_cols.clear();
+                        l_tiles.clear();
+                        u_cols.clear();
+                        u_tiles.clear();
                         for r in 0..rows {
                             d[r * b + r] = dv;
                         }
@@ -306,8 +304,10 @@ pub fn block_ilut_with_stats(
                     match doctor.resolve(bi * b + lane, fault, PivotDoctor::usable_scale(norm_i))? {
                         PivotFix::Shift(boost) => diag[lane * b + lane] = boost,
                         PivotFix::ReplaceRow(dv) => {
-                            lrow = BlockTileRow::default();
-                            urow = BlockTileRow::default();
+                            l_cols.clear();
+                            l_tiles.clear();
+                            u_cols.clear();
+                            u_tiles.clear();
                             diag = [0.0; tile::MAX_BLOCK * tile::MAX_BLOCK];
                             for r in 0..rows {
                                 diag[r * b + r] = dv;
@@ -321,17 +321,12 @@ pub fn block_ilut_with_stats(
             }
         };
         stats.flops += tile_lu_cost(b);
-        stats.nnz_l += lrow.len() * bb;
-        stats.nnz_u += (urow.len() + 1) * bb;
-        l_rows.push(lrow);
-        u_rows.push(urow);
-        diag_lus.extend_from_slice(&dlu[..bb]);
+        stats.nnz_l += l_cols.len() * bb;
+        stats.nnz_u += (u_cols.len() + 1) * bb;
+        f.push_tile_row(&l_cols, &l_tiles, &u_cols, &u_tiles, &dlu[..bb]);
     }
     stats.breakdowns_repaired = doctor.repairs();
-    Ok((
-        BlockLuFactors::from_parts(n, b, l_rows, u_rows, diag_lus),
-        stats,
-    ))
+    Ok((f, stats))
 }
 
 #[cfg(test)]
@@ -356,13 +351,7 @@ mod tests {
             assert_eq!(ss.flops, bs.flops, "m={m} tau={tau}");
             assert_eq!(ss.nnz_l, bs.nnz_l);
             assert_eq!(ss.nnz_u, bs.nnz_u);
-            let refined = bf.to_lu_factors();
-            for i in 0..a.n_rows() {
-                assert_eq!(sf.l[i].cols, refined.l[i].cols, "L row {i}");
-                assert_eq!(sf.l[i].vals, refined.l[i].vals, "L row {i}");
-                assert_eq!(sf.u[i].cols, refined.u[i].cols, "U row {i}");
-                assert_eq!(sf.u[i].vals, refined.u[i].vals, "U row {i}");
-            }
+            assert_eq!(sf, bf.to_lu_factors(), "m={m} tau={tau}");
             let r: Vec<f64> = (0..a.n_rows()).map(|i| (i % 11) as f64 - 5.0).collect();
             assert_eq!(sf.solve(&r), bf.solve(&r), "trisolve diverged");
         }

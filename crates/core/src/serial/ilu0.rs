@@ -5,7 +5,7 @@
 //! extracted with a one-time colouring (paper Figure 1a).
 
 use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::LuFactors;
 use crate::options::{BreakdownPolicy, FactorError};
 use pilut_sparse::{CsrMatrix, WorkRow};
 
@@ -24,9 +24,13 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
     policy.validate()?;
     let mut doctor = PivotDoctor::new(policy);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
+    // The factor pattern is A's: a symmetric pattern splits its
+    // off-diagonal entries evenly between the strict parts.
+    let half = a.nnz().saturating_sub(n) / 2;
+    let mut f = LuFactors::with_capacity(n, 1, half, half);
     let mut w = WorkRow::new(n);
+    let mut lower: Vec<(usize, f64)> = Vec::new();
+    let mut upper: Vec<(usize, f64)> = Vec::new();
     for i in 0..n {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
@@ -35,7 +39,7 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
         // Pivots are exactly the lower-pattern positions of row i (no fill
         // can appear, so a simple ascending sweep over the original pattern
         // is a complete elimination order).
-        let mut lower: Vec<(usize, f64)> = Vec::new();
+        lower.clear();
         for &k in cols.iter().filter(|&&k| k < i) {
             let wk = w.get(k);
             // lint: allow(float-eq): skips exactly cancelled multipliers
@@ -46,29 +50,27 @@ pub fn ilu0_with(a: &CsrMatrix, policy: BreakdownPolicy) -> Result<LuFactors, Fa
                 w.drop_pos(k);
                 continue;
             }
-            let urow = &u[k];
-            let mult = wk / urow.vals[0];
+            let (ucols, uvals) = f.u_row(k);
+            let mult = wk / f.diag(k)[0];
             lower.push((k, mult));
             // Update only positions already present in row i.
-            for t in 1..urow.len() {
-                let j = urow.cols[t];
+            for (&j, &uv) in ucols.iter().zip(uvals) {
                 if w.contains(j) {
-                    w.add(j, -mult * urow.vals[t]);
+                    w.add(j, -mult * uv);
                 }
             }
             w.drop_pos(k);
         }
-        let mut upper: Vec<(usize, f64)> = Vec::new();
+        upper.clear();
         for (j, v) in w.drain_sorted() {
             if j >= i {
                 upper.push((j, v));
             }
         }
         doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        l.push(SparseRow::from_pairs(lower));
-        u.push(SparseRow::from_pairs(upper));
+        f.push_row(&lower, &upper);
     }
-    Ok(LuFactors { n, l, u })
+    Ok(f)
 }
 
 #[cfg(test)]
@@ -85,9 +87,9 @@ mod tests {
         f.check_structure().unwrap();
         for i in 0..a.n_rows() {
             let (cols, _) = a.row(i);
-            let mut merged: Vec<usize> = f.l[i].cols.clone();
-            merged.extend_from_slice(&f.u[i].cols);
-            merged.sort_unstable();
+            let mut merged: Vec<usize> = f.l_row(i).0.to_vec();
+            merged.push(i);
+            merged.extend_from_slice(f.u_row(i).0);
             assert_eq!(merged, cols.to_vec(), "row {i} pattern changed");
         }
     }
@@ -110,10 +112,7 @@ mod tests {
         let a = gen::laplace_2d(12, 1);
         let f0 = ilu0(&a).unwrap();
         let ft = ilut(&a, &IlutOptions::new(100, 0.0)).unwrap();
-        for i in 0..a.n_rows() {
-            assert_eq!(f0.l[i], ft.l[i], "L row {i}");
-            assert_eq!(f0.u[i], ft.u[i], "U row {i}");
-        }
+        assert_eq!(f0, ft);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! weakness (paper §2) that motivates threshold-based dropping.
 
 use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::LuFactors;
 use crate::options::{BreakdownPolicy, FactorError};
 use pilut_sparse::CsrMatrix;
 use std::cmp::Reverse;
@@ -30,10 +30,17 @@ pub fn iluk_with(
     policy.validate()?;
     let mut doctor = PivotDoctor::new(policy);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
-    // Levels of the kept U rows (aligned with u[i]'s columns).
-    let mut u_levels: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let half = a.nnz().saturating_sub(n) / 2;
+    let mut f = LuFactors::with_capacity(n, 1, half, half);
+    // Levels of the kept strict-U entries, flat in factor order: row `p`'s
+    // levels are `u_lev[lev_ptr[p]..lev_ptr[p + 1]]`, aligned with
+    // `f.u_row(p)`.
+    let mut u_lev: Vec<usize> = Vec::with_capacity(half);
+    let mut lev_ptr: Vec<usize> = Vec::with_capacity(n + 1);
+    lev_ptr.push(0);
+    let mut lower: Vec<(usize, f64)> = Vec::new();
+    let mut upper: Vec<(usize, f64)> = Vec::new();
+    let mut upper_lev: Vec<(usize, usize)> = Vec::new();
 
     // Dense per-row scratch: value, level, occupancy.
     let mut val = vec![0.0f64; n];
@@ -58,11 +65,11 @@ pub fn iluk_with(
             if lev[p] == usize::MAX || lev[p] > k {
                 continue; // dropped symbolically — no elimination against it
             }
-            let urow = &u[p];
-            let ulev = &u_levels[p];
-            let mult = val[p] / urow.vals[0];
+            let (ucols, uvals) = f.u_row(p);
+            let ulev = &u_lev[lev_ptr[p]..lev_ptr[p + 1]];
+            let mult = val[p] / f.diag(p)[0];
             val[p] = mult;
-            for ((&j, &uval), &ul) in urow.cols[1..].iter().zip(&urow.vals[1..]).zip(&ulev[1..]) {
+            for ((&j, &uval), &ul) in ucols.iter().zip(uvals).zip(ulev) {
                 let new_level = lev[p].saturating_add(ul).saturating_add(1);
                 if lev[j] == usize::MAX {
                     if new_level > k {
@@ -80,9 +87,9 @@ pub fn iluk_with(
                 }
             }
         }
-        let mut lower: Vec<(usize, f64)> = Vec::new();
-        let mut upper: Vec<(usize, f64)> = Vec::new();
-        let mut upper_lev: Vec<(usize, usize)> = Vec::new();
+        lower.clear();
+        upper.clear();
+        upper_lev.clear();
         touched.sort_unstable();
         for &j in &touched {
             if lev[j] <= k {
@@ -98,24 +105,18 @@ pub fn iluk_with(
         }
         touched.clear();
         doctor.repair_row(i, a.row_norm2(i), &mut lower, &mut upper)?;
-        // A repair can change the upper pattern (inserted or replaced
-        // diagonal, scrubbed entries); realign the levels with it. An
-        // injected diagonal gets level 0, like an original entry.
-        u_levels.push(
-            upper
+        // A repair can change the upper pattern (scrubbed entries, a
+        // replaced row); realign the strict-U levels with it.
+        u_lev.extend(upper[1..].iter().map(|&(j, _)| {
+            upper_lev
                 .iter()
-                .map(|&(j, _)| {
-                    upper_lev
-                        .iter()
-                        .find(|&&(c, _)| c == j)
-                        .map_or(0, |&(_, lv)| lv)
-                })
-                .collect(),
-        );
-        l.push(SparseRow::from_pairs(lower));
-        u.push(SparseRow::from_pairs(upper));
+                .find(|&&(c, _)| c == j)
+                .map_or(0, |&(_, lv)| lv)
+        }));
+        lev_ptr.push(u_lev.len());
+        f.push_row(&lower, &upper);
     }
-    Ok(LuFactors { n, l, u })
+    Ok(f)
 }
 
 #[cfg(test)]
@@ -130,10 +131,7 @@ mod tests {
         let a = gen::convection_diffusion_2d(7, 5, 2.0, -1.0);
         let f0 = ilu0(&a).unwrap();
         let fk = iluk(&a, 0).unwrap();
-        for i in 0..a.n_rows() {
-            assert_eq!(f0.l[i], fk.l[i], "L row {i}");
-            assert_eq!(f0.u[i], fk.u[i], "U row {i}");
-        }
+        assert_eq!(f0, fk);
     }
 
     #[test]

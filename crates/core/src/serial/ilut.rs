@@ -1,7 +1,7 @@
 //! The serial ILUT(m, t) factorization — paper Algorithm 2.1 (after Saad).
 
 use crate::breakdown::PivotDoctor;
-use crate::factors::{LuFactors, SparseRow};
+use crate::factors::LuFactors;
 use crate::options::{FactorError, FactorStats, IlutOptions};
 use crate::serial::drop_rules::{selection_cost, threshold_and_cap_in_place};
 use pilut_sparse::{CsrMatrix, WorkRow};
@@ -29,8 +29,7 @@ pub fn ilut_with_stats(
     opts.validate()?;
     let mut doctor = PivotDoctor::new(opts.breakdown);
     let n = a.n_rows();
-    let mut l: Vec<SparseRow> = Vec::with_capacity(n);
-    let mut u: Vec<SparseRow> = Vec::with_capacity(n);
+    let mut f = LuFactors::with_fill_cap(n, 1, opts.m, a.nnz());
     let mut w = WorkRow::new(n);
     let mut stats = FactorStats::default();
     // Min-heap of candidate pivot columns still to eliminate in this row,
@@ -64,8 +63,8 @@ pub fn ilut_with_stats(
                 w.drop_pos(k);
                 continue;
             }
-            let urow = &u[k];
-            let mult = wk / urow.vals[0];
+            let (ucols, uvals) = f.u_row(k);
+            let mult = wk / f.diag(k)[0];
             stats.flops += 1.0;
             // First dropping rule.
             if mult.abs() < tau_i {
@@ -74,16 +73,15 @@ pub fn ilut_with_stats(
             }
             w.set(k, mult);
             // w -= mult * u_k (strict upper part of the pivot row).
-            for t in 1..urow.len() {
-                let j = urow.cols[t];
+            for (&j, &uv) in ucols.iter().zip(uvals) {
                 let newly = !w.contains(j);
-                w.add(j, -mult * urow.vals[t]);
+                w.add(j, -mult * uv);
                 if newly && j < i && !in_heap[j] {
                     in_heap[j] = true;
                     heap.push(Reverse(j));
                 }
             }
-            stats.flops += 2.0 * (urow.len() - 1) as f64;
+            stats.flops += 2.0 * ucols.len() as f64;
         }
         // Second dropping rule: split into L and U parts, keep m largest in
         // each; the diagonal is always kept.
@@ -103,11 +101,10 @@ pub fn ilut_with_stats(
         doctor.repair_row(i, norm_i, &mut lower, &mut upper)?;
         stats.nnz_l += lower.len();
         stats.nnz_u += upper.len();
-        l.push(SparseRow::from_sorted_pairs(&lower));
-        u.push(SparseRow::from_sorted_pairs(&upper));
+        f.push_row(&lower, &upper);
     }
     stats.breakdowns_repaired = doctor.repairs();
-    Ok((LuFactors { n, l, u }, stats))
+    Ok((f, stats))
 }
 
 #[cfg(test)]
@@ -135,13 +132,10 @@ mod tests {
         let a = gen::laplace_2d(12, 12);
         let m = 3;
         let f = ilut(&a, &IlutOptions::new(m, 0.0)).unwrap();
-        for i in 0..f.n {
-            assert!(f.l[i].len() <= m, "L row {i} has {} entries", f.l[i].len());
-            assert!(
-                f.u[i].len() <= m + 1,
-                "U row {i} has {} entries",
-                f.u[i].len()
-            );
+        for i in 0..f.n() {
+            let (lc, uc) = (f.l_row(i).0.len(), f.u_row(i).0.len());
+            assert!(lc <= m, "L row {i} has {lc} entries");
+            assert!(uc <= m, "U row {i} has {uc} strict entries");
         }
     }
 
@@ -194,7 +188,7 @@ mod tests {
         let (f, s) = ilut_with_stats(&a, &opts).unwrap();
         f.check_structure().unwrap();
         assert_eq!(s.breakdowns_repaired, 1);
-        assert!(f.u[0].vals[0] > 0.0 && f.u[0].vals[0].is_finite());
+        assert!(f.diag(0)[0] > 0.0 && f.diag(0)[0].is_finite());
     }
 
     #[test]

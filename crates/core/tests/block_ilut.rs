@@ -1,15 +1,31 @@
 //! Blocked-vs-scalar ILUT differentials at integration scale.
 //!
 //! The anchor property: at block size 1 the blocked pipeline (BCSR
-//! conversion → `block_ilut` → blocked level-scheduled trisolve) is
-//! *bitwise* the scalar pipeline (`ilut` → `LuFactors::solve`). At real
+//! conversion → `block_ilut` → tile sweep) is *bitwise* the scalar
+//! pipeline (`ilut` → `LuFactors::solve`). At real
 //! block sizes the factors differ (tile-granular dropping), so those are
 //! checked for quality and internal consistency instead.
 
 use pilut_core::serial::{block_ilut, block_ilut_with_stats, ilut_with_stats};
-use pilut_core::IlutOptions;
+use pilut_core::{IlutOptions, LuFactors};
 use pilut_sparse::vec_ops::norm2;
 use pilut_sparse::{gen, BcsrMatrix};
+
+/// Every stored scalar entry as `(row, col, value bits)`, row by row: `L`,
+/// then the pivot, then strict `U` (`b = 1` factors).
+fn entry_bits(f: &LuFactors) -> Vec<(usize, usize, u64)> {
+    assert_eq!(f.block_size(), 1);
+    let mut out = Vec::new();
+    for i in 0..f.n() {
+        let (lc, lv) = f.l_row(i);
+        let (uc, uv) = f.u_row(i);
+        let diag = [i];
+        let cols = lc.iter().chain(&diag).chain(uc);
+        let vals = lv.iter().chain(f.diag(i)).chain(uv);
+        out.extend(cols.zip(vals).map(|(&c, v)| (i, c, v.to_bits())));
+    }
+    out
+}
 
 #[test]
 fn b1_pipeline_is_bitwise_scalar_on_random_matrices() {
@@ -21,19 +37,13 @@ fn b1_pipeline_is_bitwise_scalar_on_random_matrices() {
         let (bf, bs) = block_ilut_with_stats(&ab, &opts).unwrap();
         assert_eq!(ss.flops.to_bits(), bs.flops.to_bits(), "seed {seed}");
         assert_eq!((ss.nnz_l, ss.nnz_u), (bs.nnz_l, bs.nnz_u));
-        let refined = bf.to_lu_factors();
-        for i in 0..a.n_rows() {
-            assert_eq!(sf.l[i].cols, refined.l[i].cols, "seed {seed} L row {i}");
-            assert_eq!(sf.u[i].cols, refined.u[i].cols, "seed {seed} U row {i}");
-            for (x, y) in sf.l[i].vals.iter().zip(&refined.l[i].vals) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} L row {i}");
-            }
-            for (x, y) in sf.u[i].vals.iter().zip(&refined.u[i].vals) {
-                assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} U row {i}");
-            }
-        }
-        // The blocked level-scheduled trisolve must also be bitwise the
-        // scalar sweep at b = 1 (per-row arithmetic order is unchanged).
+        assert_eq!(
+            entry_bits(&sf),
+            entry_bits(&bf.to_lu_factors()),
+            "seed {seed}"
+        );
+        // The tile sweep must also be bitwise the scalar sweep at b = 1
+        // (per-row arithmetic order is unchanged).
         let r: Vec<f64> = (0..a.n_rows())
             .map(|i| ((i * 31) % 17) as f64 - 8.0)
             .collect();
@@ -100,20 +110,4 @@ fn panel_solve_bitwise_at_scale() {
             );
         }
     }
-}
-
-#[test]
-fn level_schedules_expose_parallelism() {
-    // On a banded problem the dependency levels must be far fewer than the
-    // block rows — that's the concurrency a parallel tile sweep would get.
-    let a = gen::laplace_2d(24, 24);
-    let ab = BcsrMatrix::from_csr(&a, 4);
-    let f = block_ilut(&ab, &IlutOptions::new(4, 1e-2)).unwrap();
-    let (fwd, bwd) = f.level_counts();
-    assert!(fwd < f.n_brows(), "forward levels {fwd} of {}", f.n_brows());
-    assert!(
-        bwd < f.n_brows(),
-        "backward levels {bwd} of {}",
-        f.n_brows()
-    );
 }

@@ -109,12 +109,12 @@ fn indefinite_matrix(rng: &mut SplitMix64) -> CsrMatrix {
 /// Asserts every stored LU value is finite, then drives a solve and
 /// asserts the result is finite too.
 fn assert_lu_finite(f: &pilut_core::factors::LuFactors, label: &str) {
-    for i in 0..f.n {
-        for &v in f.l[i].vals.iter().chain(f.u[i].vals.iter()) {
+    for i in 0..f.n() {
+        for &v in f.l_row(i).1.iter().chain(f.diag(i)).chain(f.u_row(i).1) {
             assert!(v.is_finite(), "{label}: non-finite factor entry in row {i}");
         }
     }
-    let b = vec![1.0; f.n];
+    let b = vec![1.0; f.n()];
     let x = f.solve(&b);
     assert!(
         x.iter().all(|v| v.is_finite()),

@@ -19,12 +19,15 @@ fn single_rank_matches_serial_ilu0() {
         par_ilu0(ctx, &dm, &local).unwrap()
     });
     let rf = &out.results[0];
+    let pairs = |(c, v): (&[usize], &[f64])| -> Vec<(usize, f64)> {
+        c.iter().copied().zip(v.iter().copied()).collect()
+    };
     for i in 0..a.n_rows() {
         let row = &rf.rows[&i];
-        let sl: Vec<(usize, f64)> = serial.l[i].iter().collect();
+        let sl = pairs(serial.l_row(i));
         assert_eq!(row.l, sl, "L row {i}");
-        assert!((row.diag - serial.u[i].vals[0]).abs() < 1e-14, "diag {i}");
-        let su: Vec<(usize, f64)> = serial.u[i].iter().skip(1).collect();
+        assert!((row.diag - serial.diag(i)[0]).abs() < 1e-14, "diag {i}");
+        let su = pairs(serial.u_row(i));
         assert_eq!(row.u, su, "U row {i}");
     }
 }

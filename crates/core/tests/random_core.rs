@@ -9,6 +9,7 @@ use pilut_core::options::IlutOptions;
 use pilut_core::parallel::par_ilut;
 use pilut_core::serial::{ilu0, iluk, ilut};
 use pilut_core::trisolve::{dist_solve, TrisolvePlan};
+use pilut_core::LuFactors;
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64, WorkRow};
 
@@ -32,6 +33,40 @@ fn diag_dominant(rng: &mut SplitMix64, max_n: usize, extra: usize) -> CsrMatrix 
         coo.push(i, i, s + 1.0 + (i % 3) as f64);
     }
     coo.to_csr()
+}
+
+/// One factor row as `(col, value)` pairs.
+type Pairs = Vec<(usize, f64)>;
+
+/// Row `i` of scalar (`b = 1`) factors: `L` in `lower`, the pivot followed
+/// by strict `U` in `upper`.
+fn scalar_row(f: &LuFactors, i: usize) -> (Pairs, Pairs) {
+    let ((lc, lv), (uc, uv)) = (f.l_row(i), f.u_row(i));
+    let lower = lc.iter().copied().zip(lv.iter().copied()).collect();
+    let mut upper = vec![(i, f.diag(i)[0])];
+    upper.extend(uc.iter().copied().zip(uv.iter().copied()));
+    (lower, upper)
+}
+
+/// Multiplies `L·U` back into a dense matrix — the O(n²) oracle of
+/// [`trisolve_inverts_lu`].
+fn multiply_dense(f: &LuFactors) -> Vec<Vec<f64>> {
+    let n = f.n();
+    let mut out = vec![vec![0.0; n]; n];
+    // (LU)_ij = sum_k L_ik U_kj with L unit diagonal.
+    for (i, out_row) in out.iter_mut().enumerate() {
+        let (lower, upper) = scalar_row(f, i);
+        // k = i term (L_ii = 1).
+        for (j, v) in upper {
+            out_row[j] += v;
+        }
+        for (k, lv) in lower {
+            for (j, uv) in scalar_row(f, k).1 {
+                out_row[j] += lv * uv;
+            }
+        }
+    }
+    out
 }
 
 fn max_err(a: &[f64], b: &[f64]) -> f64 {
@@ -72,9 +107,9 @@ fn fill_caps_hold() {
         let a = diag_dominant(&mut rng, 30, 120);
         let m = 1 + rng.next_usize(5);
         let f = ilut(&a, &IlutOptions::new(m, 0.0)).expect("dominant matrix cannot break down");
-        for i in 0..f.n {
-            assert!(f.l[i].len() <= m, "case {case}");
-            assert!(f.u[i].len() <= m + 1, "case {case}"); // + diagonal
+        for i in 0..f.n() {
+            assert!(f.l_row(i).0.len() <= m, "case {case}");
+            assert!(f.u_row(i).0.len() <= m, "case {case}"); // strict part
         }
     }
 }
@@ -116,13 +151,13 @@ fn trisolve_inverts_lu() {
         let mut rng = SplitMix64::new(case);
         let a = diag_dominant(&mut rng, 16, 50);
         let f = ilut(&a, &IlutOptions::new(4, 1e-2)).expect("no breakdown");
-        let n = f.n;
+        let n = f.n();
         let seed = rng.next_u64() % 50;
         let x: Vec<f64> = (0..n)
             .map(|i| ((seed + 3 * i as u64) % 7) as f64 - 3.0)
             .collect();
         // y = L U x via the dense product.
-        let dense = f.multiply_dense();
+        let dense = multiply_dense(&f);
         let y: Vec<f64> = dense
             .iter()
             .map(|row| row.iter().zip(&x).map(|(m, xi)| m * xi).sum())
@@ -221,14 +256,15 @@ fn unbounded_ilut_matches_dense_lu() {
         }
         let f = ilut(&a, &IlutOptions::new(n, 0.0)).expect("no breakdown");
         for i in 0..n {
-            for (j, v) in f.l[i].iter() {
+            let (lower, upper) = scalar_row(&f, i);
+            for &(j, v) in &lower {
                 assert!(
                     (v - d[i][j]).abs() < 1e-9,
                     "case {case}: L[{i}][{j}] = {v} vs dense {}",
                     d[i][j]
                 );
             }
-            for (j, v) in f.u[i].iter() {
+            for &(j, v) in &upper {
                 assert!(
                     (v - d[i][j]).abs() < 1e-9,
                     "case {case}: U[{i}][{j}] = {v} vs dense {}",
@@ -239,7 +275,8 @@ fn unbounded_ilut_matches_dense_lu() {
             // threshold must be present in the sparse factors too.
             for j in 0..n {
                 if d[i][j].abs() > 1e-9 {
-                    let stored = if j < i { f.l[i].get(j) } else { f.u[i].get(j) };
+                    let part = if j < i { &lower } else { &upper };
+                    let stored = part.iter().find(|&&(c, _)| c == j);
                     assert!(
                         stored.is_some(),
                         "case {case}: dense LU has ({i},{j}) = {} but factors dropped it",

@@ -19,10 +19,15 @@ fn single_rank_sweeps_match_serial() {
     let b: Vec<f64> = (0..a.n_rows())
         .map(|i| ((i * 13) % 7) as f64 - 3.0)
         .collect();
+    // The forward half alone: unit-lower substitution over the L rows.
     let mut y_serial = b.clone();
-    serial.forward_solve(&mut y_serial);
-    let mut x_serial = y_serial.clone();
-    serial.backward_solve(&mut x_serial);
+    for i in 0..serial.n() {
+        let (cols, vals) = serial.l_row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            y_serial[i] -= v * y_serial[j];
+        }
+    }
+    let x_serial = serial.solve(&b);
 
     let dm = DistMatrix::from_matrix(a, 1, 1);
     let b2 = b.clone();

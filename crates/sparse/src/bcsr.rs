@@ -204,9 +204,8 @@ impl BcsrMatrix {
     }
 
     /// The tile-row pointer array (raw storage accessor; code outside
-    /// `crates/sparse` should go through [`BcsrMatrix::block_row`] or the
-    /// [`crate::storage::SparseStorage`] trait instead — see the
-    /// `no-storage-poke` lint).
+    /// `crates/sparse` should go through [`BcsrMatrix::block_row`] and the
+    /// other logical accessors instead — see the `no-storage-poke` lint).
     pub fn brow_ptr(&self) -> &[usize] {
         &self.brow_ptr
     }
@@ -346,6 +345,25 @@ mod tests {
             let got = blocked.spmv_owned(&x);
             for (g, w) in got.iter().zip(&want) {
                 assert!((g - w).abs() < 1e-12, "b={b}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_counts_match_csr() {
+        let a = gen::laplace_2d(6, 6);
+        for b in [1, 2, 3, 4] {
+            let blocked = BcsrMatrix::from_csr(&a, b);
+            assert_eq!(blocked.nnz(), a.nnz(), "b={b}");
+            let lane_mask = (1u16 << b) - 1;
+            for i in 0..a.n_rows() {
+                let shift = (i % b) * b;
+                let count: u32 = blocked
+                    .block_row_masks(i / b)
+                    .iter()
+                    .map(|m| ((m >> shift) & lane_mask).count_ones())
+                    .sum();
+                assert_eq!(count as usize, a.row_nnz(i), "b={b} row {i}");
             }
         }
     }

@@ -2,7 +2,7 @@
 //! identity — bit for bit — for every block size, including dimensions the
 //! block size does not divide and patterns containing explicit zeros.
 
-use pilut_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, SparseStorage, SplitMix64};
+use pilut_sparse::{BcsrMatrix, CooMatrix, CsrMatrix, SplitMix64};
 
 /// A random sparse matrix with ~`density` fill, a sprinkling of explicit
 /// zeros, and sign-of-zero landmines (`-0.0` must survive the round trip).
@@ -24,10 +24,20 @@ fn random_csr(rng: &mut SplitMix64, n_rows: usize, n_cols: usize, density: f64) 
     coo.to_csr()
 }
 
+/// All stored entries as `(row, col, value)` triplets in row-major order.
+fn triplets(a: &CsrMatrix) -> Vec<(usize, usize, f64)> {
+    (0..a.n_rows())
+        .flat_map(|i| {
+            let (cols, vals) = a.row(i);
+            cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v))
+        })
+        .collect()
+}
+
 fn assert_bit_identical(a: &CsrMatrix, b: &CsrMatrix, ctx: &str) {
     // Triplet equality with f64 bit comparison: PartialEq would call
     // -0.0 == 0.0, which is exactly the confusion this test exists to catch.
-    let (ta, tb) = (SparseStorage::triplets(a), SparseStorage::triplets(b));
+    let (ta, tb) = (triplets(a), triplets(b));
     assert_eq!(ta.len(), tb.len(), "{ctx}: nnz changed");
     for (&(ri, ci, vi), &(rj, cj, vj)) in ta.iter().zip(&tb) {
         assert_eq!((ri, ci), (rj, cj), "{ctx}: structure changed");

@@ -20,14 +20,15 @@
 //!   matrix, BCSR in, dense 4×4 tile micro-kernels inside; the throughput
 //!   denominator is the same `nnz(A)` as `serial_ilut`, so the two rows
 //!   compare directly.
-//! * `block_trisolve` — repeated `BlockLuFactors::solve` on the
-//!   `block_ilut` factors (level-scheduled tile sweeps); the denominator is
-//!   the factors' stored tile slots — the entries the kernel actually
-//!   streams — comparable against `trisolve_serial`'s scalar fill.
+//! * `block_trisolve` — repeated `LuFactors::solve_into` on the
+//!   `block_ilut` factors (the b = 4 tile sweep); the denominator is the
+//!   useful entries — the nnz of the factors' scalar refinement
+//!   (`to_lu_factors`), so padded tile slots do not count as work and the
+//!   row compares directly against `trisolve_serial`.
 //! * `block_trisolve_rhs8` — the same factors solved against an n × 8 RHS
-//!   panel via `solve_panel`; the denominator is stored slots × 8, so the
-//!   Mnnz/s figure is per-RHS throughput and the gain over `block_trisolve`
-//!   is the panel amortization of the tile loads.
+//!   panel via `solve_panel_into`; the denominator is useful entries × 8,
+//!   so the Mnnz/s figure is per-RHS throughput and the gain over
+//!   `block_trisolve` is the panel amortization of the tile loads.
 //! * `spmv` — serial CSR SpMV on a 200×200 Laplacian (n = 40 000).
 //! * `gmres_ilut` — full right-preconditioned GMRES(30) solve, ILUT
 //!   preconditioner, 48×48 convection–diffusion.
@@ -495,7 +496,7 @@ fn bench_block_trisolve(cfg: &Cfg) -> Measurement {
     let (_, ab) = blocked_setup(cfg);
     // lint: allow(unwrap): bench problems factor by construction; a failure here is fatal to the measurement
     let f = block_ilut(&ab, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
-    let slots = f.stored_entries();
+    let useful = f.to_lu_factors().nnz();
     let b: Vec<f64> = (0..ab.n_rows()).map(|i| ((i % 13) as f64) - 6.0).collect();
     let mut x = vec![0.0; f.padded_len()];
     let inner = 50;
@@ -506,7 +507,7 @@ fn bench_block_trisolve(cfg: &Cfg) -> Measurement {
     Measurement {
         name: "block_trisolve",
         n: ab.n_rows(),
-        nnz: slots,
+        nnz: useful,
         reps: cfg.reps,
         inner,
         median_ns,
@@ -525,8 +526,8 @@ fn bench_block_trisolve_rhs8(cfg: &Cfg) -> Measurement {
     let f = block_ilut(&ab, &IlutOptions::new(10, 1e-4)).expect("factorization failed");
     let k = 8;
     // Per-RHS throughput: the panel streams each stored tile once for k
-    // right-hand sides, so the denominator is slots × k.
-    let slots = f.stored_entries() * k;
+    // right-hand sides, so the denominator is useful entries × k.
+    let useful = f.to_lu_factors().nnz() * k;
     let n = ab.n_rows();
     let rhs: Vec<f64> = (0..n * k).map(|i| ((i % 29) as f64) * 0.25 - 3.5).collect();
     let mut x = vec![0.0; f.padded_len() * k];
@@ -538,7 +539,7 @@ fn bench_block_trisolve_rhs8(cfg: &Cfg) -> Measurement {
     Measurement {
         name: "block_trisolve_rhs8",
         n,
-        nnz: slots,
+        nnz: useful,
         reps: cfg.reps,
         inner,
         median_ns,

@@ -40,9 +40,10 @@
 //! * **no-alloc-in-hot** — allocating constructs (`Vec::new`, `vec![`,
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
-//!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the blocked
-//!   and serial triangular-solve functions, and the whole `CommPlan`
-//!   replay half. The scan is a token walk over the blanked text — macro
+//!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the serial
+//!   triangular-solve functions, and the whole `CommPlan` replay half.
+//!   A listed file or function that no longer exists is a violation too.
+//!   The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
 //!   comment can't fire and `Avec![` can't hide. Backed at run time by
 //!   the allocation-audit regions and the `zero-steady-alloc` bench gate.
@@ -56,10 +57,10 @@
 //! * **no-storage-poke** — reaching into sparse-storage internals
 //!   (`.row_ptr()` / `.col_idx()` on CSR, `.brow_ptr()` / `.bcol_idx()` /
 //!   `.tile_values()` / `.tile_masks()` on BCSR) is allowed only inside
-//!   `crates/sparse`; every other crate must go through the
-//!   `SparseStorage` trait or the logical accessors (`row`, `block_row`,
-//!   `get`, `spmv`, …) so storage layout stays a private contract of the
-//!   sparse crate. Escape hatch: `// lint: allow(storage-poke): <why>`.
+//!   `crates/sparse`; every other crate must go through the logical
+//!   accessors (`row`, `block_row`, `get`, `spmv`, …) so storage layout
+//!   stays a private contract of the sparse crate. Escape hatch:
+//!   `// lint: allow(storage-poke): <why>`.
 //! * **dep-allowlist** — every `Cargo.toml` may depend only on in-repo
 //!   `pilut-*` path crates (plus `criterion`, only in the excluded
 //!   `crates/bench`). This is what keeps the tier-1 gate offline-safe.
@@ -223,6 +224,9 @@ fn run_lint(root: &Path) -> Vec<Violation> {
             }
         }
     }
+    violations.extend(stale_hot_module_violations(HOT_MODULES, |label| {
+        std::fs::read_to_string(root.join(label)).ok()
+    }));
     // Manifest allowlist: every Cargo.toml in the repo, including the
     // workspace-excluded bench crate.
     for file in manifest_files(root) {
@@ -419,6 +423,8 @@ fn lint_source(label: &str, content: &str, in_par: bool) -> Vec<Violation> {
 /// These are exactly the paths the allocation-audit regions gate at run
 /// time — the lint catches the regression at review time, the
 /// `zero-steady-alloc` bench gate catches whatever the lexer cannot see.
+/// A listed file or function that no longer exists is itself a violation
+/// ([`stale_hot_module_violations`]), so coverage cannot lapse silently.
 const HOT_MODULES: &[(&str, &[&str])] = &[
     (
         "crates/sparse/src/workrow.rs",
@@ -439,17 +445,8 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ),
     ("crates/sparse/src/tile.rs", &["*"]),
     (
-        "crates/core/src/block_factors.rs",
-        &[
-            "forward_solve_padded",
-            "backward_solve_padded",
-            "solve_into",
-            "solve_panel_into",
-        ],
-    ),
-    (
         "crates/core/src/factors.rs",
-        &["forward_solve", "backward_solve", "solve_into"],
+        &["sweep", "solve_into", "solve_panel_into"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
 ];
@@ -605,6 +602,43 @@ fn alloc_in_hot_violations(label: &str, lines: &[&str], blanked_lines: &[&str]) 
                     text: format!("{} — {}", tok, lines.get(i).copied().unwrap_or("").trim()),
                 });
             }
+        }
+    }
+    out
+}
+
+/// Keeps the `no-alloc-in-hot` coverage honest: the rule looks hot modules
+/// up by file label, so a deleted or renamed file, or a listed function
+/// that no longer exists outside the test tail, would silently stop being
+/// policed. Each such entry is reported as a violation instead. `read`
+/// returns a file's source by label, `None` when it does not exist.
+fn stale_hot_module_violations(
+    modules: &[(&str, &[&str])],
+    read: impl Fn(&str) -> Option<String>,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for &(file, hot_fns) in modules {
+        let stale = |text: String| Violation {
+            file: file.to_string(),
+            line: 0,
+            rule: "no-alloc-in-hot",
+            text,
+        };
+        let Some(src) = read(file) else {
+            out.push(stale("declared hot module does not exist".to_string()));
+            continue;
+        };
+        let blanked = blank_noncode(&src);
+        let declared: Vec<&str> = blanked
+            .lines()
+            .take_while(|l| !l.contains("#[cfg(test)]"))
+            .filter_map(fn_decl_name)
+            .collect();
+        for f in hot_fns
+            .iter()
+            .filter(|f| **f != "*" && !declared.contains(f))
+        {
+            out.push(stale(format!("declared hot function `{f}` does not exist")));
         }
     }
     out
@@ -1192,10 +1226,29 @@ mod tests {
         // factors.rs polices only the solve functions: a constructor may
         // allocate, the hot sweep may not.
         let label = "crates/core/src/factors.rs";
-        let src = "impl F {\n    /// Constructor — free to allocate.\n    pub fn from_pairs() -> Self {\n        let v: Vec<f64> = it.collect();\n        Self { v }\n    }\n    /// Hot sweep — policed.\n    pub fn forward_solve(&self, b: &mut [f64]) {\n        let tmp = b.to_vec();\n    }\n}\n";
+        let src = "impl F {\n    /// Constructor — free to allocate.\n    pub fn from_pairs() -> Self {\n        let v: Vec<f64> = it.collect();\n        Self { v }\n    }\n}\n/// Hot sweep — policed.\nfn sweep<const B: usize>(f: &F, x: &mut [f64]) {\n    let tmp = x.to_vec();\n}\n";
         let got = lint_source(label, src, false);
         assert_eq!(rules(&got), vec!["no-alloc-in-hot"]);
-        assert_eq!(got[0].line, 9, "only the line inside the hot fn");
+        assert_eq!(got[0].line, 10, "only the line inside the hot fn");
+    }
+
+    #[test]
+    fn stale_hot_module_entries_fail_loudly() {
+        let src = "fn sweep() {}\npub fn solve_into() {}\n#[cfg(test)]\nmod tests {\n    fn gone() {}\n}\n";
+        let read = |label: &str| (label == "crates/a.rs").then(|| src.to_string());
+        let live: &[(&str, &[&str])] = &[("crates/a.rs", &["sweep", "solve_into", "*"])];
+        assert!(stale_hot_module_violations(live, read).is_empty());
+        // A missing file, a renamed function, and one that only the test
+        // tail declares each lose coverage — each is a violation.
+        let stale: &[(&str, &[&str])] = &[
+            ("crates/deleted.rs", &["*"]),
+            ("crates/a.rs", &["forward_solve", "gone"]),
+        ];
+        let got = stale_hot_module_violations(stale, read);
+        assert_eq!(rules(&got), vec!["no-alloc-in-hot"; 3]);
+        assert!(got[0].text.contains("does not exist"), "{}", got[0]);
+        assert!(got[1].text.contains("`forward_solve`"), "{}", got[1]);
+        assert!(got[2].text.contains("`gone`"), "{}", got[2]);
     }
 
     #[test]

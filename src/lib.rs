@@ -54,18 +54,15 @@ pub mod prelude {
     pub use pilut_core::options::{FactorError, IlutOptions};
     pub use pilut_core::parallel::{assemble_factors, par_ilu0, par_ilut, RankFactors};
     pub use pilut_core::precond::{
-        BlockIluPreconditioner, DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner,
-        Preconditioner,
+        DiagonalPreconditioner, IdentityPreconditioner, IluPreconditioner, Preconditioner,
     };
     pub use pilut_core::serial::{block_ilut, ic0, ilu0, iluk, ilut};
     pub use pilut_core::trisolve::{dist_solve, TrisolvePlan};
-    pub use pilut_core::{BlockLuFactors, LuFactors, SparseRow};
+    pub use pilut_core::LuFactors;
     pub use pilut_graph::{partition_kway, suggest_block_size, Graph, PartitionOptions};
     pub use pilut_par::{Ctx, Machine, MachineModel, Payload};
     pub use pilut_solver::dist_gmres::{dist_gmres, DistDiagonal, DistIlu, DistPrecond};
     pub use pilut_solver::gmres::{gmres, GmresOptions};
     pub use pilut_solver::{cg, CgOptions, IcPreconditioner};
-    pub use pilut_sparse::{
-        gen, io, BcsrMatrix, CooMatrix, CsrMatrix, MatrixStats, Permutation, SparseStorage,
-    };
+    pub use pilut_sparse::{gen, io, BcsrMatrix, CooMatrix, CsrMatrix, MatrixStats, Permutation};
 }
