@@ -17,7 +17,7 @@ fn trace(a: &pilut_sparse::CsrMatrix, p: usize, opts: &IlutOptions) -> Vec<usize
     let out = Machine::run(p, MachineModel::cray_t3d(), |ctx| {
         let local = dm.local_view(ctx.rank());
         let rf = par_ilut(ctx, &dm, &local, opts).unwrap();
-        rf.levels.iter().map(|l| l.len()).collect::<Vec<usize>>()
+        (0..rf.n_levels()).map(|l| rf.level(l).len()).collect::<Vec<usize>>()
     });
     let q = out.results[0].len();
     (0..q).map(|l| out.results.iter().map(|r| r[l]).sum()).collect()

@@ -25,20 +25,20 @@ fn main() {
         par_ilut(ctx, &dm, &local, &opts).unwrap()
     });
     let factors: Vec<RankFactors> = out.results;
-    let q = factors[0].levels.len();
+    let q = factors[0].n_levels();
 
     // Block index per node: blocks 0..p are rank interiors, p+l is level l.
     let mut block_of: HashMap<usize, usize> = HashMap::new();
     let mut block_names: Vec<String> = Vec::new();
     for (r, f) in factors.iter().enumerate() {
-        for &v in &f.interior {
+        for &v in f.interior() {
             block_of.insert(v, r);
         }
         block_names.push(format!("P{r} int"));
     }
     for l in 0..q {
         for f in &factors {
-            for &v in &f.levels[l] {
+            for &v in f.level(l) {
                 block_of.insert(v, p + l);
             }
         }
@@ -48,13 +48,14 @@ fn main() {
     let mut l_blocks = vec![vec![0usize; nb]; nb];
     let mut u_blocks = vec![vec![0usize; nb]; nb];
     for f in &factors {
-        for (&v, row) in &f.rows {
-            let bv = block_of[&v];
-            for &(j, _) in &row.l {
-                l_blocks[bv][block_of[&j]] += 1;
+        let lu = f.factors();
+        for e in 0..lu.n() {
+            let bv = block_of[&f.global_of(e)];
+            for &j in lu.l_row(e).0 {
+                l_blocks[bv][block_of[&f.global_of(j)]] += 1;
             }
-            for &(j, _) in &row.u {
-                u_blocks[bv][block_of[&j]] += 1;
+            for &j in lu.u_row(e).0 {
+                u_blocks[bv][block_of[&f.global_of(j)]] += 1;
             }
             u_blocks[bv][bv] += 1; // diagonal
         }

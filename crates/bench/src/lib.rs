@@ -14,7 +14,7 @@ use pilut_core::dist::spmv::{dist_spmv, SpmvPlan};
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::{par_ilut, ParStats};
-use pilut_core::trisolve::{dist_forward, dist_backward, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{gen, CsrMatrix};
 
@@ -131,8 +131,7 @@ pub fn run_trisolve(a: &CsrMatrix, p: usize, opts: &IlutOptions) -> SolveRun {
         // Align clocks so the timed section measures the kernel alone.
         ctx.barrier();
         let t0 = ctx.time();
-        let y = dist_forward(ctx, &local, &rf, &tplan, &b);
-        let _x = dist_backward(ctx, &local, &rf, &tplan, &y);
+        let _x = dist_solve(ctx, &local, &rf, &tplan, &b);
         ctx.barrier();
         let t1 = ctx.time();
         let _ = dist_spmv(ctx, &dm, &local, &mut splan, &b);

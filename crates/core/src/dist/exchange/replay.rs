@@ -337,11 +337,12 @@ impl CommPlan {
     }
 
     /// The send half of a values-only round: one `f64` batch per send-side
-    /// peer, values in the agreed node order, staged in pooled buffers.
+    /// peer, staged in pooled buffers. `pos` lists, for the send schedule
+    /// concatenated in peer order, the lane of `x` holding each value.
     /// Pairs with a matching [`CommPlan::recv_values`] on the other side —
     /// the triangular sweeps use the halves at different loop iterations,
     /// which is why they are split.
-    pub fn send_values(&self, ctx: &mut Ctx, value_of: impl Fn(usize) -> f64) {
+    pub fn send_values(&self, ctx: &mut Ctx, x: &[f64], pos: &[usize]) {
         let _audit = pilut_allocaudit::region("send_values");
         let cost = self.predicted_cost();
         ctx.note_planned(
@@ -351,28 +352,35 @@ impl CommPlan {
             true,
         );
         let send_tag = self.send_round_tag(self.tag);
+        let mut lanes = pos;
         for (peer, nodes) in &self.send {
-            let mut vals = pool::take_f64(nodes.len());
-            vals.extend(nodes.iter().map(|&g| value_of(g)));
+            let (mine, rest) = lanes.split_at(nodes.len());
+            lanes = rest;
+            let mut vals = pool::take_f64(mine.len());
+            vals.extend(mine.iter().map(|&p| x[p]));
             ctx.copy_words(vals.len() as f64);
             ctx.send_as(*peer, send_tag, self.stats_tag, Payload::f64s(vals));
         }
     }
 
     /// The receive half of a values-only round: drains one `f64` batch per
-    /// recv-side peer, hands each `(node, value)` to `take`, and recycles
-    /// the batch toward the registered-buffer pool (the values are read
-    /// through a borrow — see [`CommPlan::replay_halo`] for why the
-    /// receiver must not unwrap the payload).
-    pub fn recv_values(&self, ctx: &mut Ctx, mut take: impl FnMut(usize, f64)) {
+    /// recv-side peer into the lanes of `x` that `pos` names (the receive
+    /// schedule concatenated in peer order), and recycles the batch toward
+    /// the registered-buffer pool (the values are read through a borrow —
+    /// see [`CommPlan::replay_halo`] for why the receiver must not unwrap
+    /// the payload).
+    pub fn recv_values(&self, ctx: &mut Ctx, x: &mut [f64], pos: &[usize]) {
         let _audit = pilut_allocaudit::region("recv_values");
         let recv_tag = self.recv_round_tag(self.tag);
+        let mut lanes = pos;
         for (peer, nodes) in &self.recv {
+            let (mine, rest) = lanes.split_at(nodes.len());
+            lanes = rest;
             let payload = ctx.recv(*peer, recv_tag);
             let vals = payload.as_f64();
             assert_eq!(vals.len(), nodes.len(), "plan mismatch from rank {peer}");
-            for (&g, &val) in nodes.iter().zip(vals) {
-                take(g, val);
+            for (&p, &val) in mine.iter().zip(vals) {
+                x[p] = val;
             }
             ctx.copy_words(nodes.len() as f64);
             payload.recycle();

@@ -23,8 +23,16 @@
 //! over block rows `0, 1, …`, backward over `…, 1, 0`. One arena keeps that
 //! stream prefetcher-friendly instead of hopping between per-row heap
 //! allocations.
+//!
+//! One rank's share of a distributed factorization
+//! ([`crate::parallel::RankFactors`]) is the same arena at `b = 1` whose
+//! columns `n .. n + halo` are *halo lanes*: remote unknowns that a
+//! neighbour exchange writes into the solve buffer. The distributed solve
+//! runs the row-range sweeps one segment at a time. Serial factors have
+//! `halo = 0`.
 
 use pilut_sparse::tile;
+use std::ops::Range;
 
 /// Bound on [`LuFactors::with_fill_cap`]'s up-front reservation per strict
 /// part, in stored tiles of the input matrix: it covers the exact LU of
@@ -38,6 +46,8 @@ const FILL_RESERVE_PER_TILE: usize = 16;
 pub struct LuFactors {
     n: usize,
     b: usize,
+    /// Halo lanes past `n` that columns may name (0 for serial factors).
+    halo: usize,
     /// Row pointer into `l_cols` (one entry per finished block row, plus 0).
     l_ptr: Vec<usize>,
     /// Strict block-lower block-column indices, ascending per row.
@@ -66,6 +76,7 @@ impl LuFactors {
         LuFactors {
             n,
             b,
+            halo: 0,
             l_ptr: ptr.clone(),
             l_cols: Vec::with_capacity(l_tiles),
             l_vals: Vec::with_capacity(l_tiles * bb),
@@ -73,6 +84,14 @@ impl LuFactors {
             u_cols: Vec::with_capacity(u_tiles),
             u_vals: Vec::with_capacity(u_tiles * bb),
             diag: Vec::with_capacity(nb * bb),
+        }
+    }
+
+    /// Empty scalar factors whose columns may also name `halo` lanes past `n`.
+    pub(crate) fn with_halo(n: usize, halo: usize, l_tiles: usize, u_tiles: usize) -> Self {
+        LuFactors {
+            halo,
+            ..Self::with_capacity(n, 1, l_tiles, u_tiles)
         }
     }
 
@@ -198,6 +217,7 @@ impl LuFactors {
     /// `debug_assert!`s.
     pub fn check_structure(&self) -> Result<(), String> {
         let (b, nb) = (self.b, self.n_brows());
+        let lanes = nb + self.halo;
         if self.diag.len() != nb * b * b {
             return Err(format!(
                 "row count mismatch: {nb} block rows, {} diagonal slots",
@@ -205,13 +225,17 @@ impl LuFactors {
             ));
         }
         for bi in 0..nb {
+            // Columns past the rows are halo lanes: valid on either side.
             let (lcols, _) = self.l_row(bi);
-            if lcols.iter().any(|&c| c >= bi) {
+            if lcols.iter().any(|&c| (bi..nb).contains(&c)) {
                 return Err(format!("L row {bi} has a column at or past the diagonal"));
             }
             let (ucols, _) = self.u_row(bi);
             if ucols.iter().any(|&c| c <= bi) {
                 return Err(format!("U row {bi} has a column at or before the diagonal"));
+            }
+            if lcols.iter().chain(ucols).any(|&c| c >= lanes) {
+                return Err(format!("row {bi} has a column past the last halo lane"));
             }
             let ascending = |cols: &[usize]| cols.windows(2).all(|w| w[0] < w[1]);
             if !ascending(lcols) || !ascending(ucols) {
@@ -403,7 +427,16 @@ fn tile_row_sub<const B: usize>(acc: &mut [f64; B], cols: &[usize], tiles: &[f64
 /// over `…, 1, 0`, in place on `n_brows · B` lanes.
 fn sweep<const B: usize>(f: &LuFactors, x: &mut [f64]) {
     let nb = f.n_brows();
-    for bi in 0..nb {
+    forward_rows::<B>(f, x, 0..nb);
+    backward_rows::<B>(f, x, 0..nb);
+}
+
+/// The forward substitution `L y = b` over block rows `rows`, ascending,
+/// in place. Every column a row names must already hold its final value:
+/// an earlier row, or a halo lane the caller has filled.
+#[inline(always)]
+pub(crate) fn forward_rows<const B: usize>(f: &LuFactors, x: &mut [f64], rows: Range<usize>) {
+    for bi in rows {
         let (s, e) = (f.l_ptr[bi], f.l_ptr[bi + 1]);
         if s == e {
             continue;
@@ -418,7 +451,13 @@ fn sweep<const B: usize>(f: &LuFactors, x: &mut [f64]) {
         );
         x[bi * B..bi * B + B].copy_from_slice(&acc);
     }
-    for bi in (0..nb).rev() {
+}
+
+/// The backward substitution `U x = y` over block rows `rows`, descending,
+/// in place (see [`forward_rows`] for the column contract).
+#[inline(always)]
+pub(crate) fn backward_rows<const B: usize>(f: &LuFactors, x: &mut [f64], rows: Range<usize>) {
+    for bi in rows.rev() {
         let (s, e) = (f.u_ptr[bi], f.u_ptr[bi + 1]);
         let mut acc = [0.0f64; B];
         acc.copy_from_slice(&x[bi * B..bi * B + B]);

@@ -8,7 +8,7 @@
 //! factorization with the plain serial machinery.
 
 use crate::factors::LuFactors;
-use crate::parallel::{FactorRow, RankFactors};
+use crate::parallel::RankFactors;
 use pilut_sparse::Permutation;
 
 /// The assembled form of a distributed factorization.
@@ -40,21 +40,21 @@ pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors 
     // Build the elimination order: interiors rank by rank, then each level
     // across ranks (members of one level are independent, so any order
     // within the level is valid; sorted keeps it canonical).
-    let q = per_rank.first().map_or(0, |rf| rf.levels.len());
+    let q = per_rank.first().map_or(0, |rf| rf.n_levels());
     let mut order: Vec<usize> = Vec::with_capacity(n);
     for rf in per_rank {
         assert_eq!(
-            rf.levels.len(),
+            rf.n_levels(),
             q,
             "rank {} disagrees on level count",
             rf.rank
         );
-        order.extend_from_slice(&rf.interior);
+        order.extend_from_slice(rf.interior());
     }
     for l in 0..q {
         let mut level: Vec<usize> = per_rank
             .iter()
-            .flat_map(|rf| rf.levels[l].iter().copied())
+            .flat_map(|rf| rf.level(l).iter().copied())
             .collect();
         level.sort_unstable();
         order.extend_from_slice(&level);
@@ -62,25 +62,30 @@ pub fn assemble_factors(per_rank: &[RankFactors], n: usize) -> AssembledFactors 
     assert_eq!(order.len(), n, "rank outputs do not cover the matrix");
     let perm = Permutation::from_old_order(&order);
 
-    let mut row_of: Vec<Option<&FactorRow>> = vec![None; n];
-    for rf in per_rank {
-        for (&node, row) in &rf.rows {
-            row_of[node] = Some(row);
+    // Each rank's arena row `e` becomes global row `perm.new_of(node)`;
+    // `at[row]` = (rank, arena row).
+    let mut at = vec![(usize::MAX, 0); n];
+    for (r, rf) in per_rank.iter().enumerate() {
+        for e in 0..rf.factors().n() {
+            at[perm.new_of(rf.global_of(e))] = (r, e);
         }
     }
-    let rows = || per_rank.iter().flat_map(|rf| rf.rows.values());
-    let nnz_l = rows().map(|r| r.l.len()).sum();
-    let nnz_u = rows().map(|r| r.u.len()).sum();
+    let nnz_l = per_rank.iter().map(|rf| rf.factors().nnz_l()).sum();
+    let nnz_u = per_rank.iter().map(|rf| rf.factors().nnz_u()).sum();
     let mut factors = LuFactors::with_capacity(n, 1, nnz_l, nnz_u);
     let (mut l, mut u) = (Vec::new(), Vec::new());
-    for (pos, &node) in order.iter().enumerate() {
-        let row = row_of[node].unwrap_or_else(|| panic!("no rank output for node {node}"));
+    for (pos, &(r, e)) in at.iter().enumerate() {
+        let rf = &per_rank[r];
+        let f = rf.factors();
+        let renumber = |c: &usize| perm.new_of(rf.global_of(*c));
+        let (cols, vals) = f.l_row(e);
         l.clear();
-        l.extend(row.l.iter().map(|&(c, v)| (perm.new_of(c), v)));
+        l.extend(cols.iter().map(renumber).zip(vals.iter().copied()));
         l.sort_unstable_by_key(|&(c, _)| c);
+        let (cols, vals) = f.u_row(e);
         u.clear();
-        u.push((pos, row.diag));
-        u.extend(row.u.iter().map(|&(c, v)| (perm.new_of(c), v)));
+        u.push((pos, f.diag(e)[0]));
+        u.extend(cols.iter().map(renumber).zip(vals.iter().copied()));
         u.sort_unstable_by_key(|&(c, _)| c);
         factors.push_row(&l, &u);
     }

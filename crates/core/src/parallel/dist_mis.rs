@@ -148,7 +148,12 @@ fn decode_delta(word: u64, n_nodes: usize) -> Result<(usize, u64), String> {
 /// Records the first decode failure of a round; later frames of a round
 /// already known corrupt are ignored (the replay still drains every peer
 /// so the wire stays aligned for the error return).
-fn note_err(slot: &mut Option<FactorError>, tag: &'static str, peer: usize, what: String) {
+pub(crate) fn note_err(
+    slot: &mut Option<FactorError>,
+    tag: &'static str,
+    peer: usize,
+    what: String,
+) {
     if slot.is_none() {
         *slot = Some(FactorError::Protocol {
             tag,

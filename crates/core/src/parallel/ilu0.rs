@@ -20,8 +20,10 @@ use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{build_level_links, dist_mis};
-use crate::parallel::{collective_fault_verdict, FactorRow, ParStats, RankFactors};
-use pilut_par::{Ctx, Payload};
+use crate::parallel::{
+    collective_fault_verdict, own_pos, ship_u_rows, FactorRow, ParStats, RankFactors,
+};
+use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
 use std::collections::{HashMap, HashSet};
 
@@ -54,13 +56,14 @@ pub fn par_ilu0_with(
     for &v in &local.interface {
         role[v] = 2;
     }
-    let mut rows: HashMap<usize, FactorRow> = HashMap::with_capacity(local.len());
+    let mut rows = vec![FactorRow::default(); local.len()];
     let mut stats = ParStats::default();
     let mut w = WorkRow::new(n);
     let mut my_err: Option<(usize, PivotFault)> = None;
 
-    // ---- Phase 1: interiors, ascending global id, pattern-restricted.
-    for &i in &local.interior {
+    // ---- Phase 1: interiors, ascending global id, pattern-restricted
+    // (interior `p` is local-view position `p`).
+    for (p, &i) in local.interior.iter().enumerate() {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             w.set(j, v);
@@ -71,7 +74,7 @@ pub fn par_ilu0_with(
         for &k in cols.iter().filter(|&&k| role[k] == 1 && k < i) {
             let wk = w.get(k);
             w.drop_pos(k);
-            let urow = &rows[&k];
+            let urow = &rows[own_pos(local, k)];
             let mult = wk / urow.diag;
             lower.push((k, mult));
             for &(j, uv) in &urow.u {
@@ -103,23 +106,19 @@ pub fn par_ilu0_with(
             &mut my_err,
             1.0,
         );
-        stats.nnz_l += lower.len();
-        stats.nnz_u += upper.len() + 1;
-        rows.insert(
-            i,
-            FactorRow {
-                l: lower,
-                diag,
-                u: upper,
-            },
-        );
+        rows[p] = FactorRow {
+            l: lower,
+            diag,
+            u: upper,
+        };
     }
 
     // ---- Phase 1b: eliminate interiors from interface rows (pattern-
     // restricted); the surviving interface-column values are the rank's
     // slice of A_I, whose pattern equals the original one.
     let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    for &i in &local.interface {
+    let n_interior = local.interior.len();
+    for (slot, &i) in local.interface.iter().enumerate() {
         let (cols, vals) = a.row(i);
         for (&j, &v) in cols.iter().zip(vals) {
             w.set(j, v);
@@ -128,7 +127,7 @@ pub fn par_ilu0_with(
         for &k in cols.iter().filter(|&&k| role[k] == 1) {
             let wk = w.get(k);
             w.drop_pos(k);
-            let urow = &rows[&k];
+            let urow = &rows[own_pos(local, k)];
             let mult = wk / urow.diag;
             lower.push((k, mult));
             for &(j, uv) in &urow.u {
@@ -141,15 +140,7 @@ pub fn par_ilu0_with(
         }
         let rest = w.drain_sorted();
         stats.reduced_nnz_initial += rest.len();
-        stats.nnz_l += lower.len();
-        rows.insert(
-            i,
-            FactorRow {
-                l: lower,
-                diag: 0.0,
-                u: Vec::new(),
-            },
-        );
+        rows[n_interior + slot].l = lower;
         reduced.insert(i, rest);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
@@ -198,7 +189,6 @@ pub fn par_ilu0_with(
     }
 
     // ---- Numeric interface factorization, level by level.
-    let mut levels: Vec<Vec<usize>> = Vec::new();
     for level in &schedule {
         // Finish the rows of this level: their remaining couplings to
         // *unfactored* nodes form U; couplings to already-factored interface
@@ -217,8 +207,7 @@ pub fn par_ilu0_with(
                     upper.push((c, val));
                 }
             }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&v).expect("interface row missing");
+            let row = &mut rows[own_pos(local, v)];
             let mut l = std::mem::take(&mut row.l);
             doctor.repair_or_defer(
                 v,
@@ -230,68 +219,22 @@ pub fn par_ilu0_with(
                 &mut my_err,
                 1.0,
             );
-            stats.nnz_u += upper.len() + 1;
             row.l = l;
             row.diag = diag;
             row.u = upper;
         }
-        levels.push(level.clone());
 
         // Ship the new U rows along the current level's plan, then eliminate
         // this level's unknowns from the remaining rows (pattern-restricted).
-        // Encoding per peer: U64 = [node, len, cols...]*, F64 = [diag, vals...]*.
         let pat: HashMap<usize, Vec<usize>> = reduced
             .iter()
             .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
             .collect();
         let plan = build_level_links(ctx, dm.dist(), &pat);
         let level_set: HashSet<usize> = level.iter().copied().collect();
-        let mut remote_u: HashMap<usize, FactorRow> = HashMap::new();
-        plan.replay_tagged(
-            ctx,
-            tags::U0,
-            |_, nodes| {
-                let mut bu = Vec::new();
-                let mut bf = Vec::new();
-                for &v in nodes {
-                    if !level_set.contains(&v) {
-                        continue;
-                    }
-                    let row = &rows[&v];
-                    bu.push(v as u64);
-                    bu.push(row.u.len() as u64);
-                    bu.extend(row.u.iter().map(|&(c, _)| c as u64));
-                    bf.push(row.diag);
-                    bf.extend(row.u.iter().map(|&(_, x)| x));
-                }
-                Payload::mixed(bu, bf)
-            },
-            |_, _, payload| {
-                let (bu, bf) = payload.into_mixed();
-                let (mut iu, mut ifl) = (0usize, 0usize);
-                while iu < bu.len() {
-                    let node = bu[iu] as usize;
-                    let len = bu[iu + 1] as usize;
-                    let cols = &bu[iu + 2..iu + 2 + len];
-                    let diag = bf[ifl];
-                    let vals = &bf[ifl + 1..ifl + 1 + len];
-                    remote_u.insert(
-                        node,
-                        FactorRow {
-                            l: Vec::new(),
-                            diag,
-                            u: cols
-                                .iter()
-                                .map(|&c| c as usize)
-                                .zip(vals.iter().copied())
-                                .collect(),
-                        },
-                    );
-                    iu += 2 + len;
-                    ifl += 1 + len;
-                }
-            },
-        );
+        let remote_u = ship_u_rows(ctx, &plan, tags::U0, local, &rows, |v| {
+            level_set.contains(&v)
+        })?;
         // Remote members of this level, detectable from the shipped rows.
         let keys: Vec<usize> = reduced.keys().copied().collect();
         for i in keys {
@@ -312,7 +255,7 @@ pub fn par_ilu0_with(
             let mut mults: Vec<(usize, f64)> = Vec::with_capacity(pivots.len());
             for k in pivots {
                 let urow = if role[k] != 0 {
-                    &rows[&k]
+                    &rows[own_pos(local, k)]
                 } else {
                     &remote_u[&k]
                 };
@@ -332,11 +275,9 @@ pub fn par_ilu0_with(
                 ctx.work(2.0 * urow.u.len() as f64 + 1.0);
                 mults.push((k, mult));
             }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&i).expect("interface row missing");
+            let row = &mut rows[own_pos(local, i)];
             row.l.extend(mults);
             row.l.sort_unstable_by_key(|&(c, _)| c);
-            stats.nnz_l += row.l.len();
             reduced.insert(i, w.drain_sorted());
         }
     }
@@ -347,16 +288,13 @@ pub fn par_ilu0_with(
     if err_flag > 0 {
         return Err(collective_fault_verdict(ctx, &my_err));
     }
-    stats.nnz_l = rows.values().map(|r| r.l.len()).sum();
-    stats.levels = levels.len();
     stats.breakdowns_repaired = doctor.repairs();
-    Ok(RankFactors {
-        rank: ctx.rank(),
-        interior: local.interior.clone(),
-        interface: local.interface.clone(),
-        levels,
+    Ok(RankFactors::from_rows(
+        ctx.rank(),
+        local,
         rows,
+        &schedule,
         initial_reduced_cols,
         stats,
-    })
+    ))
 }

@@ -24,24 +24,26 @@ pub use assemble::assemble_factors;
 pub use ilu0::{par_ilu0, par_ilu0_with};
 
 use crate::breakdown::{PivotDoctor, PivotFault};
-use crate::dist::exchange::tags;
+use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::{DistMatrix, LocalView};
+use crate::factors::LuFactors;
 use crate::options::{FactorError, IlutOptions};
-use crate::serial::drop_rules::{selection_cost, threshold_and_cap};
-use dist_mis::{build_level_links, dist_mis};
+use crate::serial::drop_rules::{selection_cost, threshold_and_cap, threshold_and_cap_in_place};
+use dist_mis::{build_level_links, dist_mis, note_err};
 use pilut_par::{Ctx, Payload};
 use pilut_sparse::WorkRow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 
-/// One factored row in *elimination order* semantics: `l` holds couplings to
-/// rows factored earlier, `u` to rows factored later; both sorted by global
-/// column id. `L` has an implicit unit diagonal; `diag` is the `U` pivot.
+/// One row while the factorization is running, in global column ids: `l`
+/// couples to rows eliminated earlier, `u` to rows eliminated later. `L`
+/// has an implicit unit diagonal; `diag` is the `U` pivot.
 #[derive(Clone, Debug, Default)]
-pub struct FactorRow {
-    pub l: Vec<(usize, f64)>,
-    pub diag: f64,
-    pub u: Vec<(usize, f64)>,
+pub(crate) struct FactorRow {
+    l: Vec<(usize, f64)>,
+    diag: f64,
+    u: Vec<(usize, f64)>,
 }
 
 /// Counters describing one rank's factorization.
@@ -64,24 +66,241 @@ pub struct ParStats {
     pub breakdowns_repaired: usize,
 }
 
-/// One rank's share of the distributed factorization.
+/// One rank's share of the distributed factorization: its rows in one
+/// scalar [`LuFactors`] arena.
+///
+/// Rows sit in the rank's *elimination order* — interiors ascending, then
+/// the members of interface level 0, level 1, … — so each solve segment is
+/// a contiguous row range. Columns use an extended local numbering: an
+/// owned node is its elimination position, a remote node (a *ghost*) is
+/// `n_owned + slot` with the ghosts sorted by global id. The ghost columns
+/// are the arena's halo lanes, the same owned-then-halo split a
+/// [`DistVector`](crate::dist::exchange::DistVector) uses.
 #[derive(Clone, Debug)]
 pub struct RankFactors {
     pub rank: usize,
-    /// Interior nodes in elimination order (ascending global id).
-    pub interior: Vec<usize>,
-    /// Interface nodes (ascending global id).
-    pub interface: Vec<usize>,
-    /// `levels[l]` = my interface nodes factored in global level `l`
-    /// (possibly empty; every rank records every level).
-    pub levels: Vec<Vec<usize>>,
-    /// All my factored rows by global node id.
-    pub rows: HashMap<usize, FactorRow>,
+    factors: LuFactors,
+    /// Global id of every extended column: the owned rows in elimination
+    /// order, then the ghosts ascending.
+    global: Vec<usize>,
+    /// Segment bounds: interiors are rows `0..level_ptr[0]`, level `l` is
+    /// rows `level_ptr[l]..level_ptr[l + 1]`.
+    level_ptr: Vec<usize>,
     /// Column pattern of my slice of the *initial* reduced matrix `A_I⁰`
     /// (after interior elimination, before any interface level) — used by
     /// the Figure 1/2 structure illustrations.
     pub initial_reduced_cols: Vec<(usize, Vec<usize>)>,
     pub stats: ParStats,
+}
+
+impl RankFactors {
+    /// Packs finished rows (indexed by local-view position, global column
+    /// ids) into the arena: numbers the ghosts, maps every column to the
+    /// extended local numbering, sorts, and appends the rows in elimination
+    /// order. `levels[l]` lists my members of level `l`, ascending, and
+    /// sets `stats.levels`, `stats.nnz_l` and `stats.nnz_u` from them.
+    pub(crate) fn from_rows(
+        rank: usize,
+        local: &LocalView,
+        rows: Vec<FactorRow>,
+        levels: &[Vec<usize>],
+        initial_reduced_cols: Vec<(usize, Vec<usize>)>,
+        mut stats: ParStats,
+    ) -> Self {
+        let n_owned = local.len();
+        let mut global = local.interior.clone();
+        let mut level_ptr = vec![global.len()];
+        for level in levels {
+            global.extend_from_slice(level);
+            level_ptr.push(global.len());
+        }
+        assert_eq!(global.len(), n_owned, "levels miss an interface row");
+        let mut elim_of = vec![0; n_owned];
+        for (e, &g) in global.iter().enumerate() {
+            elim_of[own_pos(local, g)] = e;
+        }
+        let mut ghosts: Vec<usize> = rows
+            .iter()
+            .flat_map(|r| r.l.iter().chain(&r.u))
+            .map(|&(c, _)| c)
+            .filter(|&c| !local.owns(c))
+            .collect();
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let col_of = |c: usize| match local.pos_of(c) {
+            Some(p) => elim_of[p],
+            // lint: allow(unwrap): every remote column was numbered as a ghost above
+            None => n_owned + ghosts.binary_search(&c).expect("unnumbered ghost"),
+        };
+        let nnz_l = rows.iter().map(|r| r.l.len()).sum();
+        let nnz_u = rows.iter().map(|r| r.u.len()).sum();
+        let mut factors = LuFactors::with_halo(n_owned, ghosts.len(), nnz_l, nnz_u);
+        let (mut l, mut u) = (Vec::new(), Vec::new());
+        for (e, &g) in global.iter().enumerate() {
+            let row = &rows[own_pos(local, g)];
+            l.clear();
+            l.extend(row.l.iter().map(|&(c, v)| (col_of(c), v)));
+            l.sort_unstable_by_key(|&(c, _)| c);
+            u.clear();
+            u.push((e, row.diag));
+            u.extend(row.u.iter().map(|&(c, v)| (col_of(c), v)));
+            u.sort_unstable_by_key(|&(c, _)| c);
+            factors.push_row(&l, &u);
+        }
+        global.extend(ghosts);
+        debug_assert_eq!(factors.check_structure(), Ok(()));
+        stats.levels = levels.len();
+        (stats.nnz_l, stats.nnz_u) = (factors.nnz_l(), factors.nnz_u());
+        RankFactors {
+            rank,
+            factors,
+            global,
+            level_ptr,
+            initial_reduced_cols,
+            stats,
+        }
+    }
+
+    /// The rows as one `b = 1` arena in elimination order, with the ghosts
+    /// as halo lanes.
+    pub fn factors(&self) -> &LuFactors {
+        &self.factors
+    }
+
+    /// Interior nodes in elimination order (ascending global id).
+    pub fn interior(&self) -> &[usize] {
+        &self.global[..self.level_ptr[0]]
+    }
+
+    /// Number of interface levels (every rank records every level).
+    pub fn n_levels(&self) -> usize {
+        self.level_ptr.len() - 1
+    }
+
+    /// My interface nodes factored in global level `l`, ascending (possibly
+    /// empty).
+    pub fn level(&self, l: usize) -> &[usize] {
+        &self.global[self.level_rows(l)]
+    }
+
+    /// Arena rows of level `l`.
+    pub(crate) fn level_rows(&self, l: usize) -> Range<usize> {
+        self.level_ptr[l]..self.level_ptr[l + 1]
+    }
+
+    /// The level of arena row `e` (`None` for an interior row).
+    pub(crate) fn level_of_row(&self, e: usize) -> Option<usize> {
+        self.level_ptr.partition_point(|&p| p <= e).checked_sub(1)
+    }
+
+    /// Global id of extended column `pos`: an owned row's elimination
+    /// position below `factors().n()`, a ghost's halo lane above it.
+    pub fn global_of(&self, pos: usize) -> usize {
+        self.global[pos]
+    }
+
+    /// The remote nodes my rows reference, ascending — halo lane `k` is
+    /// `ghosts()[k]`.
+    pub fn ghosts(&self) -> &[usize] {
+        &self.global[self.factors.n()..]
+    }
+}
+
+/// Local-view position of one of this rank's own nodes.
+fn own_pos(local: &LocalView, g: usize) -> usize {
+    // lint: allow(unwrap): callers only ask for rows this rank owns
+    local.pos_of(g).expect("node is not owned by this rank")
+}
+
+/// Ships the freshly factored `U` rows of one interface level along the
+/// level plan: each rank sends one (possibly empty) batch to every peer
+/// that references its nodes and receives one from every peer whose nodes
+/// it references. `is_member(v)` selects the level's members; `rows` is
+/// indexed by local-view position. Wire format per peer: `U64 = [node,
+/// len, cols…]*`, `F64 = [diag, vals…]*`, nodes in the pair's agreed order.
+/// Returns the received rows by global node; a malformed frame yields
+/// [`FactorError::Protocol`] from the rank that received it.
+pub(crate) fn ship_u_rows(
+    ctx: &mut Ctx,
+    plan: &CommPlan,
+    tag: u64,
+    local: &LocalView,
+    rows: &[FactorRow],
+    is_member: impl Fn(usize) -> bool,
+) -> Result<HashMap<usize, FactorRow>, FactorError> {
+    let mut remote_u = HashMap::new();
+    let mut err = None;
+    plan.replay_tagged(
+        ctx,
+        tag,
+        |_, nodes| {
+            let mut bu = Vec::new();
+            let mut bf = Vec::new();
+            for &v in nodes.iter().filter(|&&v| is_member(v)) {
+                let row = &rows[own_pos(local, v)];
+                bu.push(v as u64);
+                bu.push(row.u.len() as u64);
+                bu.extend(row.u.iter().map(|&(c, _)| c as u64));
+                bf.push(row.diag);
+                bf.extend(row.u.iter().map(|&(_, x)| x));
+            }
+            Payload::mixed(bu, bf)
+        },
+        |peer, nodes, payload| {
+            if let Err(what) = decode_u_rows(payload, nodes, &mut remote_u) {
+                note_err(&mut err, tags::tag_name(tag), peer, what);
+            }
+        },
+    );
+    err.map_or(Ok(remote_u), Err)
+}
+
+/// Decodes one peer's `U`-row batch into `out`. Every row must name a node
+/// of the pair's agreed list (`nodes`, ascending), in ascending order, and
+/// both halves must hold exactly the entries the headers announce.
+fn decode_u_rows(
+    payload: Payload,
+    nodes: &[usize],
+    out: &mut HashMap<usize, FactorRow>,
+) -> Result<(), String> {
+    let Payload::Mixed(bu, bf) = &payload else {
+        return Err(format!("expected a mixed frame, got {payload:?}"));
+    };
+    let (mut bu, mut bf) = (&bu[..], &bf[..]);
+    let mut prev = None;
+    while let [node, len, rest @ ..] = bu {
+        let (node, len) = (*node as usize, *len as usize);
+        // `None < Some(_)`: the first row of a frame always passes.
+        if prev >= Some(node) || nodes.binary_search(&node).is_err() {
+            return Err(format!(
+                "row for node {node} is not next in the agreed list"
+            ));
+        }
+        if rest.len() < len || bf.len() <= len {
+            return Err(format!("node {node}: {len} entries overrun the frame"));
+        }
+        let (cols, next_u) = rest.split_at(len);
+        let (head, next_f) = bf.split_at(len + 1);
+        let u = cols
+            .iter()
+            .map(|&c| c as usize)
+            .zip(head[1..].iter().copied());
+        let (l, diag) = (Vec::new(), head[0]);
+        out.insert(
+            node,
+            FactorRow {
+                l,
+                diag,
+                u: u.collect(),
+            },
+        );
+        (bu, bf, prev) = (next_u, next_f, Some(node));
+    }
+    match (bu.len(), bf.len()) {
+        (0, 0) => Ok(()),
+        (0, k) => Err(format!("{k} trailing values")),
+        _ => Err("truncated row header".to_string()),
+    }
 }
 
 /// Agrees on a factorization error once at least one rank flagged a fault
@@ -132,19 +351,22 @@ pub fn par_ilut(
         role[v] = 2;
     }
 
-    let mut rows: HashMap<usize, FactorRow> = HashMap::with_capacity(local.len());
+    let mut rows = vec![FactorRow::default(); local.len()];
     let mut stats = ParStats::default();
     let mut w = WorkRow::new(n);
     let mut heap: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
     let mut in_heap = vec![false; n];
-    // Scratch buffer reused across rows by both phase-1 sweeps.
+    // Scratch buffers reused across rows by both phase-1 sweeps; a kept
+    // row copies out at its exact size.
     let mut entries: Vec<(usize, f64)> = Vec::new();
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
     // First unusable pivot met on this rank, deferred to the collective
     // error check (only set under `BreakdownPolicy::Abort`).
     let mut my_err: Option<(usize, PivotFault)> = None;
 
-    // ---- Phase 1: interior rows (ascending global id = elimination order).
-    for &i in &local.interior {
+    // ---- Phase 1: interior rows (ascending global id = elimination order;
+    // interior `p` is local-view position `p`).
+    for (p, &i) in local.interior.iter().enumerate() {
         let norm_i = a.row_norm2(i);
         let tau_i = opts.tau * norm_i;
         let (cols, vals) = a.row(i);
@@ -161,6 +383,7 @@ pub fn par_ilut(
             &mut w,
             &mut heap,
             &mut in_heap,
+            local,
             &rows,
             tau_i,
             i,
@@ -174,8 +397,8 @@ pub fn par_ilut(
         w.drain_sorted_into(&mut entries);
         stats.flops += selection_cost(entries.len());
         ctx.work(selection_cost(entries.len()));
-        let mut lower = Vec::new();
-        let mut upper = Vec::new();
+        lower.clear();
+        upper.clear();
         let mut diag = 0.0;
         let mut has_diag = false;
         for &(j, v) in &entries {
@@ -199,20 +422,21 @@ pub fn par_ilut(
             &mut my_err,
             fallback,
         );
-        let l = threshold_and_cap(lower, tau_i, opts.m, None);
-        let u = threshold_and_cap(upper, tau_i, opts.m, None);
-        stats.nnz_l += l.len();
-        stats.nnz_u += u.len() + 1;
-        rows.insert(i, FactorRow { l, diag, u });
+        threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
+        threshold_and_cap_in_place(&mut upper, tau_i, opts.m, None);
+        let (l, u) = (lower.clone(), upper.clone());
+        rows[p] = FactorRow { l, diag, u };
     }
 
     // ---- Phase 1b: interface rows — eliminate my interiors, build the
     // initial reduced rows.
     let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
-    let mut tau_of: HashMap<usize, f64> = HashMap::new();
-    for &i in &local.interface {
+    // Row thresholds by local-view position (only interface rows read it).
+    let mut tau_of = vec![0.0; local.len()];
+    let n_interior = local.interior.len();
+    for (slot, &i) in local.interface.iter().enumerate() {
         let tau_i = opts.tau * a.row_norm2(i);
-        tau_of.insert(i, tau_i);
+        tau_of[n_interior + slot] = tau_i;
         let (cols, vals) = a.row(i);
         debug_assert!(heap.is_empty(), "heap drained by the previous row");
         for (&j, &v) in cols.iter().zip(vals) {
@@ -227,6 +451,7 @@ pub fn par_ilut(
             &mut w,
             &mut heap,
             &mut in_heap,
+            local,
             &rows,
             tau_i,
             i,
@@ -237,8 +462,11 @@ pub fn par_ilut(
         w.drain_sorted_into(&mut entries);
         stats.flops += selection_cost(entries.len());
         ctx.work(selection_cost(entries.len()));
-        let mut lower = Vec::new(); // my interior columns — factored earlier
-        let mut rest = Vec::new(); // interface columns (mine or remote) + diag
+        // Lower: my interior columns, factored earlier. Rest: interface
+        // columns (mine or remote) plus the diagonal.
+        let rest = &mut upper;
+        lower.clear();
+        rest.clear();
         for &(j, v) in &entries {
             if role[j] == 1 {
                 lower.push((j, v));
@@ -246,18 +474,11 @@ pub fn par_ilut(
                 rest.push((j, v));
             }
         }
-        let l = threshold_and_cap(lower, tau_i, opts.m, None);
-        stats.nnz_l += l.len();
-        rows.insert(
-            i,
-            FactorRow {
-                l,
-                diag: 0.0,
-                u: Vec::new(),
-            },
-        );
+        threshold_and_cap_in_place(&mut lower, tau_i, opts.m, None);
+        rows[n_interior + slot].l = lower.clone();
         // Reduced row: threshold always applies; ILUT* additionally caps.
-        let rr = threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i));
+        threshold_and_cap_in_place(rest, tau_i, opts.reduced_cap(), Some(i));
+        let rr = rest.clone();
         ctx.copy_words(rr.len() as f64);
         stats.reduced_nnz_initial += rr.len();
         reduced.insert(i, rr);
@@ -308,7 +529,8 @@ pub fn par_ilut(
         for &v in &mis.my_in {
             // lint: allow(unwrap): set members always carry a reduced row
             let rr = reduced.remove(&v).expect("member without a reduced row");
-            let tau_v = tau_of[&v];
+            let pv = own_pos(local, v);
+            let tau_v = tau_of[pv];
             let mut diag = 0.0;
             let mut has_diag = false;
             let mut off = Vec::with_capacity(rr.len());
@@ -320,8 +542,7 @@ pub fn par_ilut(
                     off.push((c, val));
                 }
             }
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&v).expect("interface row missing");
+            let row = &mut rows[pv];
             let mut l = std::mem::take(&mut row.l);
             let fallback = if tau_v > 0.0 { tau_v } else { 1.0 };
             doctor.repair_or_defer(
@@ -337,82 +558,34 @@ pub fn par_ilut(
             let u = threshold_and_cap(off, tau_v, opts.m, None);
             stats.flops += selection_cost(u.len());
             ctx.work(selection_cost(u.len()));
-            stats.nnz_u += u.len() + 1;
             row.l = l;
             row.diag = diag;
             row.u = u;
         }
         levels.push(mis.my_in.clone());
 
-        // Ship the new U rows directly along the level plan: each rank
-        // sends one (possibly empty) batch to every peer that references its
-        // nodes and receives one from every peer whose nodes it references.
-        // Encoding per peer: U64 = [node, len, cols...]*, F64 = [diag, vals...]*.
-        let mut remote_u: HashMap<usize, FactorRow> = HashMap::new();
-        plan.replay_tagged(
-            ctx,
-            tags::UROWS,
-            |_, nodes| {
-                let mut bu = Vec::new();
-                let mut bf = Vec::new();
-                for &v in nodes {
-                    if mis.my_in.binary_search(&v).is_err() {
-                        continue;
-                    }
-                    let row = &rows[&v];
-                    bu.push(v as u64);
-                    bu.push(row.u.len() as u64);
-                    bu.extend(row.u.iter().map(|&(c, _)| c as u64));
-                    bf.push(row.diag);
-                    bf.extend(row.u.iter().map(|&(_, x)| x));
-                }
-                Payload::mixed(bu, bf)
-            },
-            |_, _, payload| {
-                let (bu, bf) = payload.into_mixed();
-                let mut iu = 0usize;
-                let mut ifl = 0usize;
-                while iu < bu.len() {
-                    let node = bu[iu] as usize;
-                    let len = bu[iu + 1] as usize;
-                    let cols = &bu[iu + 2..iu + 2 + len];
-                    let diag = bf[ifl];
-                    let vals = &bf[ifl + 1..ifl + 1 + len];
-                    remote_u.insert(
-                        node,
-                        FactorRow {
-                            l: Vec::new(),
-                            diag,
-                            u: cols
-                                .iter()
-                                .map(|&c| c as usize)
-                                .zip(vals.iter().copied())
-                                .collect(),
-                        },
-                    );
-                    iu += 2 + len;
-                    ifl += 1 + len;
-                }
-            },
-        );
+        // Ship the new U rows along the level plan.
+        let remote_u = ship_u_rows(ctx, &plan, tags::UROWS, local, &rows, |v| {
+            mis.my_in.binary_search(&v).is_ok()
+        })?;
 
         // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows.
         let in_level = |j: usize| -> bool {
             mis.my_in.binary_search(&j).is_ok() || mis.remote_in.binary_search(&j).is_ok()
         };
         let remaining: Vec<usize> = reduced.keys().copied().collect();
+        let (mut pivots, mut mults) = (Vec::new(), Vec::new());
         for i in remaining {
             // lint: allow(unwrap): the level schedule covers every remaining row
             let rr = reduced.remove(&i).unwrap();
-            let tau_i = tau_of[&i];
+            let pi = own_pos(local, i);
+            let tau_i = tau_of[pi];
             // Pivot columns of this row that belong to I_l (no new ones can
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
-            let pivots: Vec<usize> = rr
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c != i && in_level(c))
-                .collect();
+            pivots.clear();
+            let cols = rr.iter().map(|&(c, _)| c);
+            pivots.extend(cols.filter(|&c| c != i && in_level(c)));
             if pivots.is_empty() {
                 reduced.insert(i, rr);
                 continue;
@@ -420,15 +593,14 @@ pub fn par_ilut(
             for (c, v) in rr {
                 w.set(c, v);
             }
-            let mut mults: Vec<(usize, f64)> = Vec::with_capacity(pivots.len());
-            for k in pivots {
+            mults.clear();
+            for &k in &pivots {
                 let urow = if role[k] != 0 {
-                    rows.get(&k)
+                    &rows[own_pos(local, k)]
                 } else {
-                    remote_u.get(&k)
+                    // lint: allow(unwrap): pivot rows are received before their level runs
+                    remote_u.get(&k).expect("missing U row for level pivot")
                 };
-                // lint: allow(unwrap): pivot rows are received before their level runs
-                let urow = urow.expect("missing U row for level pivot");
                 let wk = w.get(k);
                 w.drop_pos(k);
                 // lint: allow(float-eq): skips exactly cancelled multipliers
@@ -449,10 +621,9 @@ pub fn par_ilut(
                 mults.push((k, mult));
             }
             // Merge multipliers into the row's L and reapply rule 3.
-            // lint: allow(unwrap): interface rows are created for every boundary row up front
-            let row = rows.get_mut(&i).expect("interface row missing");
+            let row = &mut rows[pi];
             let mut lmerge = std::mem::take(&mut row.l);
-            lmerge.extend(mults);
+            lmerge.extend_from_slice(&mults);
             let cost = selection_cost(lmerge.len());
             stats.flops += cost;
             ctx.work(cost);
@@ -466,20 +637,15 @@ pub fn par_ilut(
         level_idx += 1;
     }
 
-    // Recompute L fill exactly (the incremental bookkeeping above is
-    // approximate when rows shrink during merges).
-    stats.nnz_l = rows.values().map(|r| r.l.len()).sum();
-    stats.levels = levels.len();
     stats.breakdowns_repaired = doctor.repairs();
-    Ok(RankFactors {
-        rank: me,
-        interior: local.interior.clone(),
-        interface: local.interface.clone(),
-        levels,
+    Ok(RankFactors::from_rows(
+        me,
+        local,
         rows,
+        &levels,
         initial_reduced_cols,
         stats,
-    })
+    ))
 }
 
 /// The shared elimination sweep of phases 1/1b: pops eligible pivots in
@@ -495,7 +661,8 @@ fn eliminate(
     w: &mut WorkRow,
     heap: &mut BinaryHeap<Reverse<usize>>,
     in_heap: &mut [bool],
-    rows: &HashMap<usize, FactorRow>,
+    local: &LocalView,
+    rows: &[FactorRow],
     tau_i: f64,
     i: usize,
     role: &[u8],
@@ -510,7 +677,7 @@ fn eliminate(
             w.drop_pos(k);
             continue;
         }
-        let urow = &rows[&k];
+        let urow = &rows[own_pos(local, k)];
         let mult = wk / urow.diag;
         stats.flops += 1.0;
         if mult.abs() < tau_i {
@@ -531,5 +698,74 @@ fn eliminate(
         let cost = 2.0 * urow.u.len() as f64 + 1.0;
         stats.flops += cost - 1.0;
         ctx.work(cost);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::Distribution;
+    use pilut_par::{Machine, MachineModel};
+    use pilut_sparse::gen;
+
+    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<HashMap<usize, FactorRow>, String> {
+        let mut out = HashMap::new();
+        decode_u_rows(Payload::mixed(bu, bf), &[1, 4, 6], &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn u_row_frames_decode_or_fail_structured() {
+        let ok = decode(vec![1, 0, 4, 2, 6, 9], vec![2.0, 3.0, 0.5, -0.5]).unwrap();
+        assert_eq!(ok[&1].diag, 2.0);
+        assert!(ok[&1].u.is_empty());
+        assert_eq!(ok[&4].u, vec![(6, 0.5), (9, -0.5)]);
+        for (bu, bf, what) in [
+            (vec![1], vec![], "truncated row header"),
+            (vec![4, 3, 6], vec![1.0, 2.0, 3.0, 4.0], "entries overrun"),
+            (vec![4, 1, 6], vec![1.0], "entries overrun"),
+            (vec![1, 0, 1, 0], vec![2.0, 2.0], "not next"),
+            (vec![4, 0, 1, 0], vec![2.0, 2.0], "not next"),
+            (vec![5, 0], vec![2.0], "not next"),
+            (vec![1, 0], vec![2.0, 3.0], "1 trailing values"),
+        ] {
+            let err = decode(bu.clone(), bf).unwrap_err();
+            assert!(err.contains(what), "{bu:?}: {err}");
+        }
+        let mut out = HashMap::new();
+        let err = decode_u_rows(Payload::u64s(vec![1, 0]), &[1], &mut out).unwrap_err();
+        assert!(err.contains("mixed frame"), "{err}");
+    }
+
+    #[test]
+    fn u_row_protocol_error_reaches_the_caller_structured() {
+        // Rank 1 replays a truncated U-row frame in place of the real
+        // batch; the receiving rank must get FactorError::Protocol, not a
+        // panic.
+        let dm = DistMatrix::new(gen::laplace_2d(2, 1), Distribution::block(2, 2));
+        let out = Machine::run(2, MachineModel::cray_t3d(), |ctx| {
+            let me = ctx.rank();
+            let local = dm.local_view(me);
+            let plan = CommPlan::build(ctx, tags::UROWS, vec![1 - me], |j| j);
+            if me == 1 {
+                plan.replay_tagged(
+                    ctx,
+                    tags::UROWS,
+                    |_, _| Payload::mixed(vec![1, 2, 0], vec![4.0, 1.0]),
+                    |_, _, _| {},
+                );
+                return "sender".to_string();
+            }
+            let rows = vec![FactorRow::default(); local.len()];
+            match ship_u_rows(ctx, &plan, tags::UROWS, &local, &rows, |_| false) {
+                Err(FactorError::Protocol { tag, what }) => format!("{tag}: {what}"),
+                other => format!("unexpected: {:?}", other.map(|m| m.len())),
+            }
+        });
+        assert_eq!(out.results[1], "sender");
+        assert!(
+            out.results[0].starts_with("urows: from rank 1: node 1:"),
+            "{}",
+            out.results[0]
+        );
     }
 }

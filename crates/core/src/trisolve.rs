@@ -10,63 +10,112 @@
 //! which is why ILUT\*'s smaller `q` makes its triangular solves faster
 //! (paper Table 2 / Figure 6).
 //!
+//! There is no substitution loop here: a rank's rows live in one
+//! [`LuFactors`] arena in elimination order, so every
+//! segment — the interiors, then each level — is a contiguous row range,
+//! and the solve runs the serial forward/backward row-range kernels over
+//! one segment at a time. Remote values land in the arena's halo lanes
+//! (one per ghost column) of the same solve buffer.
+//!
 //! The exchange is fully planned: [`TrisolvePlan::build`] builds one
 //! [`CommPlan`] per direction, asks every owner for the *level index* of
 //! each needed node ([`CommPlan::exchange_labels`]), and restricts the plan
-//! into one sub-plan per level. A sweep then replays a fixed schedule —
-//! at iteration `l` it drains the batches of the previously computed level
-//! and, after computing level `l`, ships one values-only message per peer
-//! that needs any of them. This is valid because remote `L` dependencies
-//! sit at strictly earlier levels and remote `U` dependencies at strictly
-//! later ones (the level construction eliminates a row only against
-//! already-pivoted levels), and received values persist for any
-//! level-skipping consumer. No node ids travel on the wire.
+//! into one sub-plan per level, with the send and receive lanes of every
+//! sub-plan precomputed. A sweep then replays a fixed schedule — at
+//! iteration `l` it drains the batches of the previously computed level
+//! into the halo lanes and, after computing level `l`, ships one
+//! values-only message per peer that needs any of them. This is valid
+//! because remote `L` dependencies sit at strictly earlier levels and
+//! remote `U` dependencies at strictly later ones (the level construction
+//! eliminates a row only against already-pivoted levels), and received
+//! values persist for any level-skipping consumer. No node ids travel on
+//! the wire.
 
 use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::{DistMatrix, LocalView};
+use crate::factors::{backward_rows, forward_rows, LuFactors};
 use crate::parallel::RankFactors;
 use pilut_par::collectives::ReduceOp;
 use pilut_par::Ctx;
-use std::collections::HashMap;
 
-/// The communication plan for repeated triangular solves with one
-/// factorization: one per-level sub-plan per direction.
-pub struct TrisolvePlan {
-    /// `fwd_at[l]`: level-`l` forward traffic (my level-`l` nodes on the
-    /// send side, remote level-`l` nodes on the receive side).
-    fwd_at: Vec<CommPlan>,
-    /// `bwd_at[l]`: level-`l` backward traffic.
-    bwd_at: Vec<CommPlan>,
+/// One level's traffic in one direction: the sub-plan plus the solve-buffer
+/// lanes its values leave from and arrive in.
+struct LevelExchange {
+    plan: CommPlan,
+    /// Elimination positions of the values shipped, in send-schedule order.
+    send_lanes: Vec<usize>,
+    /// Halo lanes of the values received, in receive-schedule order.
+    recv_lanes: Vec<usize>,
 }
 
+/// The communication plan for repeated triangular solves with one
+/// factorization: one per-level exchange per direction.
+pub struct TrisolvePlan {
+    /// `fwd[l]`: level-`l` forward traffic (my level-`l` nodes on the send
+    /// side, remote level-`l` nodes on the receive side).
+    fwd: Vec<LevelExchange>,
+    /// `bwd[l]`: level-`l` backward traffic.
+    bwd: Vec<LevelExchange>,
+    /// Elimination position of each local-view position.
+    elim_of: Vec<usize>,
+    /// Solve-buffer length: owned rows plus halo lanes.
+    lanes: usize,
+}
+
+/// One strict part of an arena row: `LuFactors::l_row` or `u_row`.
+type RowPart = fn(&LuFactors, usize) -> (&[usize], &[f64]);
+
 /// Builds one direction's per-level schedule: plan the exchange from the
-/// remote columns, learn each needed node's level from its owner, and
-/// restrict the plan level by level.
+/// ghost columns that `part` names, learn each needed node's level from its
+/// owner, restrict the plan level by level, and resolve every scheduled
+/// node to its solve-buffer lane.
 fn build_sweep(
     ctx: &mut Ctx,
     tag: u64,
-    local: &LocalView,
     dm: &DistMatrix,
-    n_levels: usize,
-    level_of: &HashMap<usize, u64>,
-    cols: impl Iterator<Item = usize>,
-) -> Vec<CommPlan> {
-    let needed: Vec<usize> = cols.filter(|&j| !local.owns(j)).collect();
+    local: &LocalView,
+    rf: &RankFactors,
+    elim_of: &[usize],
+    part: RowPart,
+) -> Vec<LevelExchange> {
+    let f = rf.factors();
+    let n_owned = f.n();
+    let needed = (0..n_owned)
+        .flat_map(|e| part(f, e).0.iter().copied())
+        .filter(|&c| c >= n_owned)
+        .map(|c| rf.global_of(c));
     let plan = CommPlan::build(ctx, tag, needed, |j| dm.dist().owner(j));
+    // Owned node → interface level (`None` for interiors and remote nodes).
+    let level_of = |g: usize| Some(rf.level_of_row(elim_of[local.pos_of(g)?])? as u64);
     let remote_level = plan.exchange_labels(ctx, |g| {
         // lint: allow(unwrap): peers only reference interface pivots, which all carry a level
-        *level_of.get(&g).expect("referenced node has no level")
+        level_of(g).expect("referenced node has no level")
     });
-    (0..n_levels)
+    let lane_of = |g: usize| match local.pos_of(g) {
+        Some(p) => elim_of[p],
+        // lint: allow(unwrap): the plan receives only nodes my rows reference
+        None => n_owned + rf.ghosts().binary_search(&g).expect("unknown ghost"),
+    };
+    (0..rf.n_levels())
         .map(|l| {
-            plan.restrict(
-                |g| level_of.get(&g).copied() == Some(l as u64),
-                |g| remote_level.get(&g).copied() == Some(l as u64),
-            )
-            // Each level gets a private wire-tag namespace: values of two
-            // adjacent levels can be in flight from one sender at once, and
-            // sharing a wire tag would let a reordered network swap them.
-            .rebase(tag + ((l as u64) << 20))
+            let plan = plan
+                .restrict(
+                    |g| level_of(g) == Some(l as u64),
+                    |g| remote_level.get(&g).copied() == Some(l as u64),
+                )
+                // Each level gets a private wire-tag namespace: values of two
+                // adjacent levels can be in flight from one sender at once, and
+                // sharing a wire tag would let a reordered network swap them.
+                .rebase(tag + ((l as u64) << 20));
+            let lanes = |lists: &[(usize, Vec<usize>)]| {
+                let nodes = lists.iter().flat_map(|(_, ns)| ns.iter().copied());
+                nodes.map(lane_of).collect()
+            };
+            LevelExchange {
+                send_lanes: lanes(plan.send_lists()),
+                recv_lanes: lanes(plan.recv_lists()),
+                plan,
+            }
         })
         .collect()
 }
@@ -74,83 +123,43 @@ fn build_sweep(
 impl TrisolvePlan {
     /// Collectively builds the plan from the distributed factors.
     pub fn build(ctx: &mut Ctx, dm: &DistMatrix, local: &LocalView, rf: &RankFactors) -> Self {
-        let mut level_of: HashMap<usize, u64> = HashMap::new();
-        for (l, level) in rf.levels.iter().enumerate() {
-            for &i in level {
-                level_of.insert(i, l as u64);
-            }
-        }
         // The factorization's level loop is collective (one push per
         // iteration on every rank), so the global level count must agree —
         // the whole sweep schedule hangs on that.
-        let n_levels = rf.levels.len();
+        let n_levels = rf.n_levels();
         let lmax = ctx.all_reduce_u64(vec![n_levels as u64], ReduceOp::Max)[0];
         assert_eq!(lmax as usize, n_levels, "level count differs across ranks");
-        let fwd_at = build_sweep(
-            ctx,
-            tags::FWD,
-            local,
-            dm,
-            n_levels,
-            &level_of,
-            rf.rows.values().flat_map(|r| r.l.iter().map(|&(c, _)| c)),
-        );
-        let bwd_at = build_sweep(
-            ctx,
-            tags::BWD,
-            local,
-            dm,
-            n_levels,
-            &level_of,
-            rf.rows.values().flat_map(|r| r.u.iter().map(|&(c, _)| c)),
-        );
-        TrisolvePlan { fwd_at, bwd_at }
-    }
-
-    /// Total values this rank ships per solve (forward plus backward).
-    pub fn sent_values(&self) -> usize {
-        self.fwd_at
-            .iter()
-            .chain(&self.bwd_at)
-            .map(|p| p.sent_values())
-            .sum()
-    }
-
-    /// The most remote values either direction's sweep can hold at once —
-    /// the capacity [`SolveScratch`] reserves for its remote-value map.
-    fn max_remote_values(&self) -> usize {
-        let total = |plans: &[CommPlan]| {
-            plans
-                .iter()
-                .map(|p| p.recv_lists().iter().map(|(_, ns)| ns.len()).sum::<usize>())
-                .sum::<usize>()
-        };
-        total(&self.fwd_at).max(total(&self.bwd_at))
+        let n_owned = rf.factors().n();
+        assert_eq!(local.len(), n_owned, "factors belong to another view");
+        // Elimination positions listed in local-view order.
+        let mut elim_of: Vec<usize> = (0..n_owned).collect();
+        elim_of.sort_unstable_by_key(|&e| local.pos_of(rf.global_of(e)));
+        let fwd = build_sweep(ctx, tags::FWD, dm, local, rf, &elim_of, LuFactors::l_row);
+        let bwd = build_sweep(ctx, tags::BWD, dm, local, rf, &elim_of, LuFactors::u_row);
+        TrisolvePlan {
+            fwd,
+            bwd,
+            elim_of,
+            lanes: n_owned + rf.ghosts().len(),
+        }
     }
 }
 
-/// Caller-owned workspace for repeated [`dist_solve_into`] calls: the two
-/// sweep buffers plus the remote-value map, all sized once from the plan so
-/// the steady-state solve allocates nothing. Build one per `(local, plan)`
-/// pair and reuse it across every solve of a Krylov iteration.
+/// Caller-owned workspace for repeated [`dist_solve_into`] calls: the solve
+/// buffer in elimination order plus its halo lanes, sized once from the
+/// plan so the steady-state solve allocates nothing. Build one per
+/// `(local, plan)` pair and reuse it across every solve of a Krylov
+/// iteration.
 pub struct SolveScratch {
-    /// Forward-sweep solution (the backward sweep's right-hand side).
-    y: Vec<f64>,
-    /// Backward-sweep solution.
     x: Vec<f64>,
-    /// Remote values delivered by the level batches, keyed by global node.
-    /// Capacity covers every node either direction can deliver, so
-    /// steady-state inserts never rehash.
-    remote_x: HashMap<usize, f64>,
 }
 
 impl SolveScratch {
     /// Reserves the workspace for solves over `local` with `plan`.
     pub fn build(local: &LocalView, plan: &TrisolvePlan) -> Self {
+        debug_assert_eq!(local.len(), plan.elim_of.len());
         SolveScratch {
-            y: Vec::with_capacity(local.len()),
-            x: Vec::with_capacity(local.len()),
-            remote_x: HashMap::with_capacity(plan.max_remote_values()),
+            x: vec![0.0; plan.lanes],
         }
     }
 }
@@ -166,8 +175,10 @@ pub fn dist_solve(
     plan: &TrisolvePlan,
     b: &[f64],
 ) -> Vec<f64> {
-    let y = dist_forward(ctx, local, rf, plan, b);
-    dist_backward(ctx, local, rf, plan, &y)
+    let mut scratch = SolveScratch::build(local, plan);
+    let mut x = vec![0.0; local.len()];
+    dist_solve_into(ctx, local, rf, plan, b, &mut scratch, &mut x);
+    x
 }
 
 /// Solves `L U x = b` into a caller-owned buffer using a reusable
@@ -186,177 +197,50 @@ pub fn dist_solve_into(
     out: &mut [f64],
 ) {
     let _audit = pilut_allocaudit::region("trisolve_replay");
-    forward_sweep_into(
-        ctx,
-        local,
-        rf,
-        plan,
-        b,
-        &mut scratch.y,
-        &mut scratch.remote_x,
-    );
-    backward_sweep_into(
-        ctx,
-        local,
-        rf,
-        plan,
-        &scratch.y,
-        &mut scratch.x,
-        &mut scratch.remote_x,
-    );
-    out.copy_from_slice(&scratch.x);
-}
-
-/// The value of column `j`: local solution entry when owned, otherwise a
-/// remote value that the sweep schedule guarantees has already arrived.
-fn col_value(local: &LocalView, x: &[f64], remote_x: &HashMap<usize, f64>, j: usize) -> f64 {
-    match local.pos_of(j) {
-        Some(q) => x[q],
-        // lint: allow(unwrap): the schedule delivers every remote dep before its consumer level
-        None => *remote_x.get(&j).expect("remote value not yet delivered"),
-    }
-}
-
-/// Forward sweep `L y = b` (unit lower triangular).
-pub fn dist_forward(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    b: &[f64],
-) -> Vec<f64> {
-    let mut x = Vec::new();
-    let mut remote_x = HashMap::new();
-    forward_sweep_into(ctx, local, rf, plan, b, &mut x, &mut remote_x);
-    x
-}
-
-/// The forward sweep body over caller-owned buffers: `x` is cleared and
-/// refilled (no allocation when its capacity covers `local.len()`),
-/// `remote_x` likewise.
-fn forward_sweep_into(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    b: &[f64],
-    x: &mut Vec<f64>,
-    remote_x: &mut HashMap<usize, f64>,
-) {
     assert_eq!(b.len(), local.len());
-    x.clear();
-    x.extend_from_slice(b);
-    remote_x.clear();
-    let mut flops = 0.0;
-    // Interior phase: L columns of interior rows are earlier interiors of
-    // this rank — all local, all already computed in ascending order.
-    for &i in &rf.interior {
-        // lint: allow(unwrap): the schedule lists only locally owned rows
-        let p = local.pos_of(i).unwrap();
-        let row = &rf.rows[&i];
-        let mut s = x[p];
-        for &(j, v) in &row.l {
-            // lint: allow(unwrap): interior L columns are local by construction
-            s -= v * x[local.pos_of(j).expect("interior L column must be local")];
-        }
-        flops += 2.0 * row.l.len() as f64;
-        x[p] = s;
+    assert_eq!(out.len(), local.len());
+    let x = &mut scratch.x;
+    for (&e, &v) in plan.elim_of.iter().zip(b) {
+        x[e] = v;
     }
-    // Interface phase, level by level: drain the previous level's batches,
-    // compute, then ship this level's values (one message per peer).
-    for (l, level) in rf.levels.iter().enumerate() {
+    forward_segments(ctx, rf, plan, x);
+    backward_segments(ctx, rf, plan, x);
+    for (o, &e) in out.iter_mut().zip(&plan.elim_of) {
+        *o = x[e];
+    }
+}
+
+/// The forward segments in place: interiors (their `L` columns are
+/// earlier interiors, all local), then each level — drain the previous
+/// level's batches into the halo, substitute, ship this level's values.
+fn forward_segments(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan, x: &mut [f64]) {
+    let f = rf.factors();
+    forward_rows::<1>(f, x, 0..rf.interior().len());
+    for (l, ex) in plan.fwd.iter().enumerate() {
         if l > 0 {
-            plan.fwd_at[l - 1].recv_values(ctx, |g, v| {
-                remote_x.insert(g, v);
-            });
+            let prev = &plan.fwd[l - 1];
+            prev.plan.recv_values(ctx, x, &prev.recv_lanes);
         }
-        for &i in level {
-            // lint: allow(unwrap): the schedule lists only locally owned rows
-            let p = local.pos_of(i).unwrap();
-            let row = &rf.rows[&i];
-            let mut s = x[p];
-            for &(j, v) in &row.l {
-                s -= v * col_value(local, &x, &remote_x, j);
-            }
-            flops += 2.0 * row.l.len() as f64;
-            x[p] = s;
-        }
-        plan.fwd_at[l].send_values(ctx, |g| {
-            // lint: allow(unwrap): the plan ships only locally owned nodes
-            x[local.pos_of(g).expect("plan ships non-local node")]
-        });
+        forward_rows::<1>(f, x, rf.level_rows(l));
+        ex.plan.send_values(ctx, x, &ex.send_lanes);
     }
-    ctx.work(flops);
+    ctx.work(2.0 * f.nnz_l() as f64);
 }
 
-/// Backward sweep `U x = y`.
-pub fn dist_backward(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    y: &[f64],
-) -> Vec<f64> {
-    let mut x = Vec::new();
-    let mut remote_x = HashMap::new();
-    backward_sweep_into(ctx, local, rf, plan, y, &mut x, &mut remote_x);
-    x
-}
-
-/// The backward sweep body over caller-owned buffers (see
-/// [`forward_sweep_into`]).
-fn backward_sweep_into(
-    ctx: &mut Ctx,
-    local: &LocalView,
-    rf: &RankFactors,
-    plan: &TrisolvePlan,
-    y: &[f64],
-    x: &mut Vec<f64>,
-    remote_x: &mut HashMap<usize, f64>,
-) {
-    assert_eq!(y.len(), local.len());
-    x.clear();
-    x.extend_from_slice(y);
-    remote_x.clear();
-    let mut flops = 0.0;
-    // Interface levels in reverse order: drain the batches of the level
-    // computed just before (the next-higher index), compute, ship.
-    let n_levels = rf.levels.len();
-    for l in (0..n_levels).rev() {
+/// The backward segments in place: levels in reverse — drain the batches
+/// of the level computed just before (the next-higher index), substitute,
+/// ship — then the interiors, whose `U` columns are all local.
+fn backward_segments(ctx: &mut Ctx, rf: &RankFactors, plan: &TrisolvePlan, x: &mut [f64]) {
+    let f = rf.factors();
+    let n_levels = plan.bwd.len();
+    for (l, ex) in plan.bwd.iter().enumerate().rev() {
         if l + 1 < n_levels {
-            plan.bwd_at[l + 1].recv_values(ctx, |g, v| {
-                remote_x.insert(g, v);
-            });
+            let prev = &plan.bwd[l + 1];
+            prev.plan.recv_values(ctx, x, &prev.recv_lanes);
         }
-        for &i in &rf.levels[l] {
-            // lint: allow(unwrap): the schedule lists only locally owned rows
-            let p = local.pos_of(i).unwrap();
-            let row = &rf.rows[&i];
-            let mut s = x[p];
-            for &(j, v) in &row.u {
-                s -= v * col_value(local, &x, &remote_x, j);
-            }
-            flops += 2.0 * row.u.len() as f64 + 1.0;
-            x[p] = s / row.diag;
-        }
-        plan.bwd_at[l].send_values(ctx, |g| {
-            // lint: allow(unwrap): the plan ships only locally owned nodes
-            x[local.pos_of(g).expect("plan ships non-local node")]
-        });
+        backward_rows::<1>(f, x, rf.level_rows(l));
+        ex.plan.send_values(ctx, x, &ex.send_lanes);
     }
-    // Interior phase, descending elimination order; U columns of interior
-    // rows are local (later interiors or own interfaces).
-    for &i in rf.interior.iter().rev() {
-        // lint: allow(unwrap): the schedule lists only locally owned rows
-        let p = local.pos_of(i).unwrap();
-        let row = &rf.rows[&i];
-        let mut s = x[p];
-        for &(j, v) in &row.u {
-            // lint: allow(unwrap): interior U columns are local by construction
-            s -= v * x[local.pos_of(j).expect("interior U column must be local")];
-        }
-        flops += 2.0 * row.u.len() as f64 + 1.0;
-        x[p] = s / row.diag;
-    }
-    ctx.work(flops);
+    backward_rows::<1>(f, x, 0..rf.interior().len());
+    ctx.work(2.0 * (f.nnz_u() - f.n()) as f64 + f.n() as f64);
 }

@@ -9,6 +9,8 @@ use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::gen;
 
+mod common;
+
 #[test]
 fn single_rank_matches_serial_ilu0() {
     let a = gen::convection_diffusion_2d(7, 7, 4.0, -1.0);
@@ -22,13 +24,14 @@ fn single_rank_matches_serial_ilu0() {
     let pairs = |(c, v): (&[usize], &[f64])| -> Vec<(usize, f64)> {
         c.iter().copied().zip(v.iter().copied()).collect()
     };
-    for i in 0..a.n_rows() {
-        let row = &rf.rows[&i];
+    let rows = common::global_rows(rf);
+    assert_eq!(rows.len(), a.n_rows());
+    for (i, l, diag, u) in rows {
         let sl = pairs(serial.l_row(i));
-        assert_eq!(row.l, sl, "L row {i}");
-        assert!((row.diag - serial.diag(i)[0]).abs() < 1e-14, "diag {i}");
+        assert_eq!(l, sl, "L row {i}");
+        assert!((diag - serial.diag(i)[0]).abs() < 1e-14, "diag {i}");
         let su = pairs(serial.u_row(i));
-        assert_eq!(row.u, su, "U row {i}");
+        assert_eq!(u, su, "U row {i}");
     }
 }
 
@@ -42,8 +45,8 @@ fn pattern_is_preserved_across_ranks() {
     });
     let mut covered = 0usize;
     for rf in &out.results {
-        for (&v, row) in &rf.rows {
-            let mut got: Vec<usize> = row.l.iter().chain(row.u.iter()).map(|&(c, _)| c).collect();
+        for (v, l, _, u) in common::global_rows(rf) {
+            let mut got: Vec<usize> = l.iter().chain(u.iter()).map(|&(c, _)| c).collect();
             got.push(v);
             got.sort_unstable();
             let expect: Vec<usize> = a.row(v).0.to_vec();
@@ -131,7 +134,9 @@ fn deterministic_and_consistent_levels() {
         Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
             let rf = par_ilu0(ctx, &dm, &local).unwrap();
-            (rf.levels.clone(), rf.stats.levels)
+            let levels: Vec<Vec<usize>> =
+                (0..rf.n_levels()).map(|l| rf.level(l).to_vec()).collect();
+            (levels, rf.stats.levels)
         })
     };
     let a1 = run();

@@ -10,6 +10,8 @@ use pilut_par::{Machine, MachineModel};
 use pilut_sparse::vec_ops::norm2;
 use pilut_sparse::{gen, CsrMatrix};
 
+mod common;
+
 /// Runs the parallel factorization and solves `LUx = b`; returns
 /// (x in global numbering, per-rank factors).
 fn factor_and_solve(
@@ -55,18 +57,19 @@ fn single_rank_matches_serial_ilut() {
         par_ilut(ctx, &dm, &local, &opts).unwrap()
     });
     let rf = &out.results[0];
-    assert_eq!(rf.interior.len(), a.n_rows());
-    assert!(rf.levels.is_empty(), "no interface nodes on one rank");
+    assert_eq!(rf.interior().len(), a.n_rows());
+    assert_eq!(rf.n_levels(), 0, "no interface nodes on one rank");
     let pairs = |(c, v): (&[usize], &[f64])| -> Vec<(usize, f64)> {
         c.iter().copied().zip(v.iter().copied()).collect()
     };
-    for i in 0..a.n_rows() {
-        let row = &rf.rows[&i];
+    let rows = common::global_rows(rf);
+    assert_eq!(rows.len(), a.n_rows());
+    for (i, l, diag, u) in rows {
         let sl = pairs(serial.l_row(i));
-        assert_eq!(row.l, sl, "L row {i}");
-        assert_eq!(row.diag, serial.diag(i)[0], "diag {i}");
+        assert_eq!(l, sl, "L row {i}");
+        assert_eq!(diag, serial.diag(i)[0], "diag {i}");
         let su = pairs(serial.u_row(i));
-        assert_eq!(row.u, su, "U row {i}");
+        assert_eq!(u, su, "U row {i}");
     }
 }
 
@@ -101,7 +104,7 @@ fn no_dropping_gives_exact_solve_torso() {
         .fold(0.0, f64::max);
     assert!(err < 1e-7, "max error {err}");
     // Every node factored exactly once across ranks.
-    let total: usize = factors.iter().map(|f| f.rows.len()).sum();
+    let total: usize = factors.iter().map(|f| f.factors().n()).sum();
     assert_eq!(total, n);
 }
 
@@ -135,10 +138,12 @@ fn every_interface_node_lands_in_exactly_one_level() {
     for (interface, rf) in &out.results {
         // Same number of global levels on every rank.
         match q {
-            None => q = Some(rf.levels.len()),
-            Some(q0) => assert_eq!(rf.levels.len(), q0, "level counts disagree"),
+            None => q = Some(rf.n_levels()),
+            Some(q0) => assert_eq!(rf.n_levels(), q0, "level counts disagree"),
         }
-        let mut seen: Vec<usize> = rf.levels.iter().flatten().copied().collect();
+        let mut seen: Vec<usize> = (0..rf.n_levels())
+            .flat_map(|l| rf.level(l).to_vec())
+            .collect();
         seen.sort_unstable();
         let mut expect = interface.clone();
         expect.sort_unstable();
@@ -159,7 +164,9 @@ fn deterministic_given_seed() {
         Machine::run_checked(3, MachineModel::cray_t3d(), |ctx| {
             let local = dm.local_view(ctx.rank());
             let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
-            (rf.levels.clone(), rf.stats.flops)
+            let levels: Vec<Vec<usize>> =
+                (0..rf.n_levels()).map(|l| rf.level(l).to_vec()).collect();
+            (levels, rf.stats.flops)
         })
     };
     let a1 = run();
@@ -237,9 +244,9 @@ fn breakdown_policies_recover_the_singular_matrix_in_parallel() {
             .sum();
         assert_eq!(repaired, 1, "{policy:?}: exactly row 2 needed repair");
         for rf in &out.results {
-            for (v, row) in &rf.rows {
+            for (v, _, diag, _) in common::global_rows(rf) {
                 assert!(
-                    row.diag.is_finite() && row.diag != 0.0,
+                    diag.is_finite() && diag != 0.0,
                     "{policy:?}: row {v} pivot unusable after repair"
                 );
             }

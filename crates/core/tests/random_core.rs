@@ -13,6 +13,8 @@ use pilut_core::LuFactors;
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::{CooMatrix, CsrMatrix, SplitMix64, WorkRow};
 
+mod common;
+
 /// Random strictly diagonally dominant matrix — ILUT never breaks down on
 /// these and the exact factorization is well conditioned.
 fn diag_dominant(rng: &mut SplitMix64, max_n: usize, extra: usize) -> CsrMatrix {
@@ -343,18 +345,10 @@ fn parallel_fill_caps_hold() {
             par_ilut(ctx, &dm, &local, &opts).expect("no breakdown")
         });
         for rf in &out.results {
-            for (v, row) in &rf.rows {
-                assert!(
-                    row.l.len() <= m,
-                    "case {case}: L row {v} has {}",
-                    row.l.len()
-                );
-                assert!(
-                    row.u.len() <= m,
-                    "case {case}: U row {v} has {}",
-                    row.u.len()
-                );
-                assert!(row.diag != 0.0, "case {case}");
+            for (v, l, diag, u) in common::global_rows(rf) {
+                assert!(l.len() <= m, "case {case}: L row {v} has {}", l.len());
+                assert!(u.len() <= m, "case {case}: U row {v} has {}", u.len());
+                assert!(diag != 0.0, "case {case}");
             }
         }
     }

@@ -1,16 +1,16 @@
-//! Parity tests: the parallel triangular solves against the serial ones on
-//! a single rank, and forward/backward sweeps individually across ranks.
+//! Parity tests: the parallel triangular solve against the serial one on a
+//! single rank, and the forward-then-backward composition across ranks.
 
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::par_ilut;
 use pilut_core::serial::ilut;
-use pilut_core::trisolve::{dist_backward, dist_forward, TrisolvePlan};
+use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineModel};
 use pilut_sparse::gen;
 
-/// On one rank the parallel forward/backward sweeps must agree with the
-/// serial factor solves entry for entry.
+/// On one rank the parallel solve must agree with the serial factor solve
+/// entry for entry.
 #[test]
 fn single_rank_sweeps_match_serial() {
     let a = gen::convection_diffusion_2d(9, 9, 5.0, -2.0);
@@ -19,14 +19,6 @@ fn single_rank_sweeps_match_serial() {
     let b: Vec<f64> = (0..a.n_rows())
         .map(|i| ((i * 13) % 7) as f64 - 3.0)
         .collect();
-    // The forward half alone: unit-lower substitution over the L rows.
-    let mut y_serial = b.clone();
-    for i in 0..serial.n() {
-        let (cols, vals) = serial.l_row(i);
-        for (&j, &v) in cols.iter().zip(vals) {
-            y_serial[i] -= v * y_serial[j];
-        }
-    }
     let x_serial = serial.solve(&b);
 
     let dm = DistMatrix::from_matrix(a, 1, 1);
@@ -36,14 +28,11 @@ fn single_rank_sweeps_match_serial() {
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         // On a single rank the local order is the global order.
-        let y = dist_forward(ctx, &local, &rf, &plan, &b2);
-        let x = dist_backward(ctx, &local, &rf, &plan, &y);
-        (y, x)
+        dist_solve(ctx, &local, &rf, &plan, &b2)
     });
-    let (y, x) = &out.results[0];
+    let x = &out.results[0];
     for i in 0..b.len() {
-        assert!((y[i] - y_serial[i]).abs() < 1e-13, "forward row {i}");
-        assert!((x[i] - x_serial[i]).abs() < 1e-13, "backward row {i}");
+        assert!((x[i] - x_serial[i]).abs() < 1e-13, "row {i}");
     }
 }
 
@@ -62,8 +51,7 @@ fn multi_rank_forward_backward_compose() {
         let rf = par_ilut(ctx, &dm, &local, &opts).unwrap();
         let plan = TrisolvePlan::build(ctx, &dm, &local, &rf);
         let b: Vec<f64> = local.nodes.iter().map(|&g| b_global[g]).collect();
-        let y = dist_forward(ctx, &local, &rf, &plan, &b);
-        let x = dist_backward(ctx, &local, &rf, &plan, &y);
+        let x = dist_solve(ctx, &local, &rf, &plan, &b);
         (local.nodes.clone(), x)
     });
     for (nodes, x) in out.results {
@@ -94,8 +82,7 @@ fn more_levels_cost_more_simulated_time() {
             let b = vec![1.0; local.len()];
             ctx.barrier();
             let t0 = ctx.time();
-            let y = dist_forward(ctx, &local, &rf, &plan, &b);
-            let _ = dist_backward(ctx, &local, &rf, &plan, &y);
+            let _ = dist_solve(ctx, &local, &rf, &plan, &b);
             ctx.barrier();
             (ctx.time() - t0, rf.stats.levels)
         });

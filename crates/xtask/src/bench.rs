@@ -726,10 +726,7 @@ fn bench_dist_trisolve_p4(cfg: &Cfg) -> Measurement {
             let mut x = vec![0.0; local.len()];
             dist_solve_into(ctx, &local, &rf, &plan, &b, &mut scratch, &mut x);
             std::hint::black_box(&x);
-            rf.rows
-                .values()
-                .map(|r| r.l.len() + r.u.len() + 1)
-                .sum::<usize>()
+            rf.factors().nnz()
         });
         (out.results.into_iter().sum::<usize>(), out.stats)
     };

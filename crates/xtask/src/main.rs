@@ -41,7 +41,8 @@
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the serial
-//!   triangular-solve functions, and the whole `CommPlan` replay half.
+//!   and distributed triangular-solve functions, and the whole `CommPlan`
+//!   replay half.
 //!   A listed file or function that no longer exists is a violation too.
 //!   The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
@@ -446,7 +447,17 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
     ("crates/sparse/src/tile.rs", &["*"]),
     (
         "crates/core/src/factors.rs",
-        &["sweep", "solve_into", "solve_panel_into"],
+        &[
+            "sweep",
+            "forward_rows",
+            "backward_rows",
+            "solve_into",
+            "solve_panel_into",
+        ],
+    ),
+    (
+        "crates/core/src/trisolve.rs",
+        &["dist_solve_into", "forward_segments", "backward_segments"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
 ];

@@ -115,23 +115,22 @@ pub fn checked_builder() -> MachineBuilder {
 }
 
 /// Checksums one rank's full factorization: every retained entry of L, the
-/// pivot, and every retained entry of U, in global row order.
+/// pivot, and every retained entry of U, row by row in the rank's
+/// elimination order, columns as global ids.
 pub fn factor_checksum(rf: &pilut_core::parallel::RankFactors) -> u64 {
-    let mut rows: Vec<usize> = rf.rows.keys().copied().collect();
-    rows.sort_unstable();
+    let f = rf.factors();
     let mut h = 0x5eed_0001u64;
-    for g in rows {
-        let row = &rf.rows[&g];
-        fold(&mut h, g as u64);
-        for &(c, v) in &row.l {
-            fold(&mut h, c as u64);
-            fold(&mut h, v.to_bits());
+    let part = |h: &mut u64, (cols, vals): (&[usize], &[f64])| {
+        for (&c, v) in cols.iter().zip(vals) {
+            fold(h, rf.global_of(c) as u64);
+            fold(h, v.to_bits());
         }
-        fold(&mut h, row.diag.to_bits());
-        for &(c, v) in &row.u {
-            fold(&mut h, c as u64);
-            fold(&mut h, v.to_bits());
-        }
+    };
+    for e in 0..f.n() {
+        fold(&mut h, rf.global_of(e) as u64);
+        part(&mut h, f.l_row(e));
+        fold(&mut h, f.diag(e)[0].to_bits());
+        part(&mut h, f.u_row(e));
     }
     h
 }
