@@ -23,7 +23,8 @@
 //!   attribute to the base tag via `Ctx::send_as`), so two in-flight rounds
 //!   of one protocol can never be confused even if same-pair delivery order
 //!   is inverted — the chaos suite's `reorder` fault exercises exactly this;
-//! * payload contents are producer-defined ([`CommPlan::replay`]) or
+//! * payload contents are producer-defined framed rounds
+//!   ([`CommPlan::replay_framed`], [`CommPlan::replay_framed_symmetric`]) or
 //!   values-only ([`CommPlan::replay_halo`], which ships `f64`s in the node
 //!   order both sides agreed on at plan time — no ids on the wire);
 //! * a plan built from empty need-lists replays as a no-op, so ranks that
@@ -136,44 +137,24 @@ impl DistVector {
     }
 }
 
-/// The statically-predicted per-round communication cost of a plan, read
-/// off its schedules alone — no replay needed. Message counts are exact
-/// for every round kind; byte counts are exact for values-only rounds
-/// (halo replays, sweep value halves, label rounds: 8 bytes per scheduled
-/// node) and for exact-framed rounds ([`PlanCost::exact_round`], whose
-/// byte totals are computed from the frames about to ship). Only the
-/// generic producer-defined rounds predict message counts alone. The
-/// replay helpers feed these predictions to
+/// The statically-predicted per-round communication cost of a
+/// values-only round, read off the plan's schedules alone — no replay
+/// needed: one message per send-side peer and 8 bytes per scheduled node
+/// (halo replays, sweep value halves, label rounds). Framed rounds
+/// ([`CommPlan::replay_framed`], [`CommPlan::replay_framed_symmetric`])
+/// price the frames they are about to ship instead, so every replay is
+/// exactly predicted. The replay helpers feed these predictions to
 /// [`pilut_par::Ctx::note_planned`] as they run, and `xtask bench-verify`
 /// fails the build when the measured per-tag counters diverge from the
 /// accumulated predictions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanCost {
-    /// Messages this rank ships per directed replay round (one per
-    /// send-side peer).
+    /// Messages this rank ships per values-only round (one per send-side
+    /// peer).
     pub directed_messages: u64,
-    /// Messages this rank ships per symmetric round (one per union peer).
-    pub symmetric_messages: u64,
     /// Bytes this rank ships per values-only round: 8 per node in the send
     /// schedule.
     pub value_bytes: u64,
-}
-
-impl PlanCost {
-    /// The ledger entry for one **exact-framed** round: the message count
-    /// of the chosen round kind (directed or symmetric) paired with a byte
-    /// total the caller computed from the frames it is about to ship. The
-    /// delta-MIS replays route every prediction through here, which is
-    /// what turns their `comm_planned` entries exact (gated byte-for-byte
-    /// by `bench-verify --slack 0`) instead of message-count-only (`~`).
-    pub fn exact_round(&self, symmetric: bool, frame_bytes: u64) -> (u64, u64) {
-        let messages = if symmetric {
-            self.symmetric_messages
-        } else {
-            self.directed_messages
-        };
-        (messages, frame_bytes)
-    }
 }
 
 /// A reusable per-rank communication schedule, built collectively from
@@ -205,7 +186,7 @@ pub struct CommPlan {
     /// advance in lockstep across ranks because every replay call is
     /// collective over the plan's participants.
     rounds: RefCell<HashMap<u64, (u64, u64)>>,
-    /// Frame staging area for the exact-framed replays: capacity reserved
+    /// Frame staging area for the framed replays: capacity reserved
     /// at construction (one slot per possible peer), cleared and refilled
     /// each round, so staging never allocates in the steady state.
     frame_scratch: RefCell<Vec<Payload>>,
@@ -275,7 +256,7 @@ impl CommPlan {
             };
         // Seed the round counters for the plan's own tag now: the first
         // replay's map insert is otherwise charged to its steady region.
-        // Multiplexed bases (explicit `*_tagged` tags) still insert lazily.
+        // Framed rounds under other explicit tags still insert lazily.
         let plan = CommPlan {
             tag,
             stats_tag: tag,
@@ -478,7 +459,6 @@ impl CommPlan {
     pub fn predicted_cost(&self) -> PlanCost {
         PlanCost {
             directed_messages: self.send.len() as u64,
-            symmetric_messages: self.union_peers.len() as u64,
             value_bytes: 8 * self.sent_values() as u64,
         }
     }
@@ -507,11 +487,6 @@ impl CommPlan {
         }
     }
 
-    /// The user tag this plan's replays run under.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
     /// `(peer, nodes)` send schedule: nodes of mine each peer needs, in the
     /// order that peer expects them.
     pub fn send_lists(&self) -> &[(usize, Vec<usize>)] {
@@ -532,14 +507,6 @@ impl CommPlan {
     /// True when this rank neither sends nor receives under this plan.
     pub fn is_idle(&self) -> bool {
         self.union_peers.is_empty()
-    }
-
-    /// The owning peer of a remote node this plan receives, if any (every
-    /// needed node appears in exactly one peer's receive list).
-    pub fn owner_of(&self, node: usize) -> Option<usize> {
-        self.recv
-            .iter()
-            .find_map(|(peer, nodes)| nodes.binary_search(&node).ok().map(|_| *peer))
     }
 
     /// A sub-plan keeping only the scheduled nodes that pass the filters
@@ -669,10 +636,10 @@ mod tests {
                 *slot = g as f64;
             }
             plan.replay_halo(ctx, &local, &mut v);
-            for (_, nodes) in plan.recv_lists() {
+            for (peer, nodes) in plan.recv_lists() {
                 for &g in nodes {
                     assert!((v.value(&local, g) - g as f64).abs() < 1e-15);
-                    assert_eq!(plan.owner_of(g), Some(dm.dist().owner(g)));
+                    assert_eq!(*peer, dm.dist().owner(g));
                 }
             }
             // Labels: owners answer node id + 7.
@@ -851,7 +818,7 @@ mod tests {
 
     #[test]
     fn exact_replays_predict_measured_bytes_exactly() {
-        // Directed and symmetric exact-framed rounds with data-dependent
+        // Directed and symmetric framed rounds with data-dependent
         // frame sizes: the ledger must match the measured counters to the
         // byte and keep the exact flag through aggregation.
         let dist = Distribution::block(4, 4);
@@ -862,20 +829,36 @@ mod tests {
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             // Frame sizes vary by rank (me words) — nothing values-only
             // could have predicted statically.
-            plan.replay_exact_tagged(
+            plan.replay_framed(
                 ctx,
                 tags::MIS_KEYS,
+                |_| true,
+                |_| true,
                 |_, _| Payload::u64s(vec![7; me]),
                 |peer, _, payload| assert_eq!(payload.into_u64(), vec![7; peer]),
             );
-            plan.replay_symmetric_exact_tagged(
+            plan.replay_framed_symmetric(
                 ctx,
                 tags::MIS_CONF,
-                |_| Payload::u64s(vec![9; me + 1]),
-                |peer, payload| assert_eq!(payload.into_u64(), vec![9; peer + 1]),
+                |_| true,
+                |_| true,
+                |_, _, _| Payload::u64s(vec![9; me + 1]),
+                |peer, _, _, payload| assert_eq!(payload.into_u64(), vec![9; peer + 1]),
             );
+            // A sparse round: only links out of even ranks are live, which
+            // both endpoints derive from the sender's id.
+            let mut heard = 0;
+            plan.replay_framed(
+                ctx,
+                tags::MIS_TENT,
+                |_| me % 2 == 0,
+                |_| (me + 1) % 2 == 0,
+                |_, _| Payload::u64s(vec![5; me]),
+                |_, _, _| heard += 1,
+            );
+            assert_eq!(heard, usize::from(me % 2 == 1));
         });
-        for tag in [tags::MIS_KEYS, tags::MIS_CONF] {
+        for tag in [tags::MIS_KEYS, tags::MIS_TENT, tags::MIS_CONF] {
             let (m, b) = out.stats.tag_totals(tag);
             let &(pm, pb, exact) = out
                 .stats
@@ -896,11 +879,20 @@ mod tests {
             let needed = vec![(me + 1) % 4];
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             let mut heard: Vec<usize> = Vec::new();
-            plan.replay_symmetric_tagged(
+            plan.replay_framed_symmetric(
                 ctx,
                 tags::MIS_CONF,
-                |_| Payload::u64s(vec![me as u64]),
-                |peer, payload| {
+                |_| true,
+                |_| true,
+                |peer, send, recv| {
+                    // Each pair is linked one way: rank r - 1 needs my node
+                    // r, and I need node r + 1 of rank r + 1.
+                    let (up, down) = ((me + 1) % 4, (me + 3) % 4);
+                    assert_eq!(send, if peer == down { vec![me] } else { vec![] });
+                    assert_eq!(recv, if peer == up { vec![up] } else { vec![] });
+                    Payload::u64s(vec![me as u64])
+                },
+                |peer, _, _, payload| {
                     assert_eq!(payload.into_u64(), vec![peer as u64]);
                     heard.push(peer);
                 },

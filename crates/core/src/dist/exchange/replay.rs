@@ -10,8 +10,8 @@
 //!   payload handles, so whichever reference drops last (the receiver,
 //!   or the sender's reliable-delivery retention on cumulative ACK)
 //!   shelves the buffer back — no per-round heap traffic on either side;
-//! * exact-framed rounds stage their frames in a plan-owned scratch
-//!   vector whose capacity is reserved at build time;
+//! * framed rounds stage their frames in a plan-owned scratch vector
+//!   whose capacity is reserved at build time;
 //! * every replay entry point is wrapped in an `alloc_audit` region, so
 //!   the bench harness can attribute (and gate to zero) whatever heap
 //!   traffic still slips through.
@@ -22,7 +22,6 @@
 use super::{CommPlan, DistVector};
 use crate::dist::LocalView;
 use pilut_par::{pool, Ctx, Payload};
-use std::collections::HashSet;
 
 impl CommPlan {
     /// The round's wire tag for the send half under `base`, advancing the
@@ -48,246 +47,112 @@ impl CommPlan {
         tag
     }
 
-    /// One directed replay round under the plan's own tag: see
-    /// [`CommPlan::replay_tagged`]. On a [`CommPlan::rebase`]d plan the
-    /// wire tags come from the private base while the traffic counters
-    /// stay attributed to the original protocol tag.
-    pub fn replay(
-        &self,
-        ctx: &mut Ctx,
-        make: impl FnMut(usize, &[usize]) -> Payload,
-        take: impl FnMut(usize, &[usize], Payload),
-    ) {
-        self.replay_dir(ctx, self.tag, self.stats_tag, make, take);
-    }
-
-    /// One directed replay round under an explicit tag (for protocols that
-    /// multiplex several message kinds over one plan, like the MIS steps):
-    /// sends `make(peer, nodes)` to every send-side peer, then hands each
-    /// receive-side peer's payload to `take(peer, nodes, payload)`, both in
-    /// ascending peer order. Exactly one message per peer per round. The
-    /// explicit tag names both the wire namespace and the counter key.
-    pub fn replay_tagged(
+    /// One directed framed round under `tag`, which names both the wire
+    /// namespace and the counter key: `make(peer, nodes)` builds a frame
+    /// for every send list whose position passes `live_send`, then
+    /// `take(peer, nodes, payload)` drains every receive list whose
+    /// position passes `live_recv`, both in ascending peer order. Every
+    /// frame is staged (in the plan-owned scratch reserved at build)
+    /// before a byte ships, so the ledger records the round's messages and
+    /// bytes exactly and `bench-verify --slack 0` gates the tag
+    /// byte-for-byte.
+    ///
+    /// `|_| true` on both sides is a full round. A sparser liveness must be
+    /// mirror-consistent across ranks — the send list to `q` is live on
+    /// rank `r` iff the receive list from `r` is live on `q` — which callers
+    /// derive from state both endpoints provably share (the delta-MIS
+    /// rounds use the shipped-state view); otherwise the round deadlocks,
+    /// which checked runs diagnose. Round tags advance whether or not any
+    /// link is live, so sparse and full rounds stay aligned across ranks.
+    pub fn replay_framed(
         &self,
         ctx: &mut Ctx,
         tag: u64,
-        make: impl FnMut(usize, &[usize]) -> Payload,
-        take: impl FnMut(usize, &[usize], Payload),
-    ) {
-        self.replay_dir(ctx, tag, tag, make, take);
-    }
-
-    /// The shared directed round: wire tags under `wire_base`, counters
-    /// under `stats_tag`. Every public replay entry funnels through here so
-    /// the wire-vs-stats split cannot drift between them.
-    fn replay_dir(
-        &self,
-        ctx: &mut Ctx,
-        wire_base: u64,
-        stats_tag: u64,
+        live_send: impl Fn(usize) -> bool,
+        live_recv: impl Fn(usize) -> bool,
         mut make: impl FnMut(usize, &[usize]) -> Payload,
         mut take: impl FnMut(usize, &[usize], Payload),
     ) {
         let _audit = pilut_allocaudit::region("plan_replay");
-        // Producer-defined payloads: predict the message count, not bytes.
-        ctx.note_planned(stats_tag, self.predicted_cost().directed_messages, 0, false);
-        let send_tag = self.send_round_tag(wire_base);
-        for (peer, nodes) in &self.send {
-            let payload = make(*peer, nodes);
-            ctx.send_as(*peer, send_tag, stats_tag, payload);
-        }
-        let recv_tag = self.recv_round_tag(wire_base);
-        for (peer, nodes) in &self.recv {
-            let payload = ctx.recv(*peer, recv_tag);
-            take(*peer, nodes, payload);
-        }
-    }
-
-    /// One directed replay round with an **exact** byte prediction: every
-    /// send-side frame is built *before* any byte ships, the frame sizes
-    /// are summed, and the ledger records `(messages, bytes)` with the
-    /// exact flag set — `bench-verify --slack 0` then gates the tag
-    /// byte-for-byte. This is the replay the delta-MIS rounds run on;
-    /// producer-defined rounds whose sizes the caller cannot commit to up
-    /// front keep using [`CommPlan::replay_tagged`]. Frames are staged in
-    /// the plan-owned scratch (reserved at build) so the round itself
-    /// stays allocation-free.
-    pub fn replay_exact_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        mut make: impl FnMut(usize, &[usize]) -> Payload,
-        mut take: impl FnMut(usize, &[usize], Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
+        let live = || {
+            let lists = self.send.iter().enumerate();
+            lists
+                .filter(|&(k, _)| live_send(k))
+                .map(|(_, (peer, nodes))| (*peer, nodes))
+        };
         let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for (peer, nodes) in &self.send {
-            frames.push(make(*peer, nodes));
-        }
-        let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        let (messages, bytes) = self.predicted_cost().exact_round(false, bytes);
-        ctx.note_planned(tag, messages, bytes, true);
-        let send_tag = self.send_round_tag(tag);
-        for ((peer, _), frame) in self.send.iter().zip(frames.drain(..)) {
-            ctx.send_as(*peer, send_tag, tag, frame);
-        }
+        frames.extend(live().map(|(peer, nodes)| make(peer, nodes)));
+        self.ship_staged(ctx, tag, &mut frames, live().map(|(peer, _)| peer));
         drop(frames);
         let recv_tag = self.recv_round_tag(tag);
-        for (peer, nodes) in &self.recv {
-            let payload = ctx.recv(*peer, recv_tag);
-            take(*peer, nodes, payload);
+        for (k, (peer, nodes)) in self.recv.iter().enumerate() {
+            if live_recv(k) {
+                let payload = ctx.recv(*peer, recv_tag);
+                take(*peer, nodes, payload);
+            }
         }
     }
 
-    /// The symmetric counterpart of [`CommPlan::replay_exact_tagged`]: one
-    /// exactly-predicted message to every union peer, frames built and
-    /// summed before any byte ships.
-    pub fn replay_symmetric_exact_tagged(
+    /// The symmetric framed round: one exactly-priced message each way
+    /// between this rank and every union peer whose send list passes
+    /// `live_send` or whose receive list passes `live_recv` (a pair linked
+    /// in both directions exchanges one message, not two). The callbacks
+    /// see the pair's two lists, `(peer, my nodes it references, its nodes
+    /// I reference)`, either possibly empty. Liveness and staging follow
+    /// [`CommPlan::replay_framed`].
+    pub fn replay_framed_symmetric(
         &self,
         ctx: &mut Ctx,
         tag: u64,
-        mut make: impl FnMut(usize) -> Payload,
-        mut take: impl FnMut(usize, Payload),
+        live_send: impl Fn(usize) -> bool,
+        live_recv: impl Fn(usize) -> bool,
+        mut make: impl FnMut(usize, &[usize], &[usize]) -> Payload,
+        mut take: impl FnMut(usize, &[usize], &[usize], Payload),
     ) {
         let _audit = pilut_allocaudit::region("plan_replay");
+        let live = || {
+            self.pairs()
+                .filter(|&(_, s, r)| s.is_some_and(&live_send) || r.is_some_and(&live_recv))
+                .map(|(peer, s, r)| (peer, nodes_at(&self.send, s), nodes_at(&self.recv, r)))
+        };
         let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for &peer in &self.union_peers {
-            frames.push(make(peer));
+        frames.extend(live().map(|(peer, send, recv)| make(peer, send, recv)));
+        self.ship_staged(ctx, tag, &mut frames, live().map(|(peer, _, _)| peer));
+        drop(frames);
+        let recv_tag = self.recv_round_tag(tag);
+        for (peer, send, recv) in live() {
+            let payload = ctx.recv(peer, recv_tag);
+            take(peer, send, recv, payload);
         }
+    }
+
+    /// Every union peer with the positions of its send and receive lists.
+    fn pairs(&self) -> impl Iterator<Item = (usize, Option<usize>, Option<usize>)> + '_ {
+        let (mut s, mut r) = (0, 0);
+        self.union_peers.iter().map(move |&peer| {
+            let next = |lists: &[(usize, Vec<usize>)], k: &mut usize| {
+                let hit = lists.get(*k).is_some_and(|&(q, _)| q == peer);
+                *k += usize::from(hit);
+                hit.then(|| *k - 1)
+            };
+            (peer, next(&self.send, &mut s), next(&self.recv, &mut r))
+        })
+    }
+
+    /// Records the staged frames' exact cost under `tag`, then ships them,
+    /// in order, to `peers` under the round's fresh send tag.
+    fn ship_staged(
+        &self,
+        ctx: &mut Ctx,
+        tag: u64,
+        frames: &mut Vec<Payload>,
+        peers: impl Iterator<Item = usize>,
+    ) {
         let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        let (messages, bytes) = self.predicted_cost().exact_round(true, bytes);
-        ctx.note_planned(tag, messages, bytes, true);
+        ctx.note_planned(tag, frames.len() as u64, bytes, true);
         let send_tag = self.send_round_tag(tag);
-        for (&peer, frame) in self.union_peers.iter().zip(frames.drain(..)) {
+        for (peer, frame) in peers.zip(frames.drain(..)) {
             ctx.send_as(peer, send_tag, tag, frame);
-        }
-        drop(frames);
-        let recv_tag = self.recv_round_tag(tag);
-        for &peer in &self.union_peers {
-            let payload = ctx.recv(peer, recv_tag);
-            take(peer, payload);
-        }
-    }
-
-    /// [`CommPlan::replay_exact_tagged`] over a round-dependent **live
-    /// subset** of the plan's links: peers absent from `live_send` get no
-    /// frame this round, peers absent from `live_recv` are not received
-    /// from, and the ledger records the surviving traffic exactly. The two
-    /// sets must be mirror-consistent across ranks (`q ∈ live_send` on rank
-    /// `r` iff `r ∈ live_recv` on rank `q`); callers derive them from state
-    /// both endpoints provably share — the delta-MIS rounds use the
-    /// shipped-state view, which owner and referencer update in lockstep —
-    /// otherwise the replay deadlocks, which checked runs diagnose. Round
-    /// tags advance exactly as in the dense replay, whether or not any link
-    /// is live, so sparse and dense rounds stay aligned across ranks.
-    pub fn replay_exact_sparse_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        live_send: &HashSet<usize>,
-        live_recv: &HashSet<usize>,
-        mut make: impl FnMut(usize, &[usize]) -> Payload,
-        mut take: impl FnMut(usize, &[usize], Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
-        let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for (peer, nodes) in &self.send {
-            if live_send.contains(peer) {
-                frames.push(make(*peer, nodes));
-            }
-        }
-        let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        ctx.note_planned(tag, frames.len() as u64, bytes, true);
-        let send_tag = self.send_round_tag(tag);
-        let mut staged = frames.drain(..);
-        for (peer, _) in &self.send {
-            if live_send.contains(peer) {
-                // lint: allow(unwrap): one frame was staged per live send peer just above
-                let frame = staged.next().expect("frame staged per live peer");
-                ctx.send_as(*peer, send_tag, tag, frame);
-            }
-        }
-        drop(staged);
-        drop(frames);
-        let recv_tag = self.recv_round_tag(tag);
-        for (peer, nodes) in &self.recv {
-            if !live_recv.contains(peer) {
-                continue;
-            }
-            let payload = ctx.recv(*peer, recv_tag);
-            take(*peer, nodes, payload);
-        }
-    }
-
-    /// The symmetric counterpart of
-    /// [`CommPlan::replay_exact_sparse_tagged`]: one exactly-predicted
-    /// message to every union peer in `live`, which must be agreed by both
-    /// endpoints of each pair (`q ∈ live` on rank `r` iff `r ∈ live` on
-    /// rank `q`).
-    pub fn replay_symmetric_exact_sparse_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        live: &HashSet<usize>,
-        mut make: impl FnMut(usize) -> Payload,
-        mut take: impl FnMut(usize, Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
-        let mut frames = self.frame_scratch.borrow_mut();
-        frames.clear();
-        for &peer in &self.union_peers {
-            if live.contains(&peer) {
-                frames.push(make(peer));
-            }
-        }
-        let bytes: u64 = frames.iter().map(|f| f.bytes() as u64).sum();
-        ctx.note_planned(tag, frames.len() as u64, bytes, true);
-        let send_tag = self.send_round_tag(tag);
-        let mut staged = frames.drain(..);
-        for &peer in &self.union_peers {
-            if live.contains(&peer) {
-                // lint: allow(unwrap): one frame was staged per live union peer just above
-                let frame = staged.next().expect("frame staged per live peer");
-                ctx.send_as(peer, send_tag, tag, frame);
-            }
-        }
-        drop(staged);
-        drop(frames);
-        let recv_tag = self.recv_round_tag(tag);
-        for &peer in &self.union_peers {
-            if !live.contains(&peer) {
-                continue;
-            }
-            let payload = ctx.recv(peer, recv_tag);
-            take(peer, payload);
-        }
-    }
-
-    /// One symmetric replay round: every rank pair in the *union* of the two
-    /// plan directions exchanges exactly one message (used by MIS step 3,
-    /// where confirmations flow owner→referencer but kills flow the other
-    /// way).
-    pub fn replay_symmetric_tagged(
-        &self,
-        ctx: &mut Ctx,
-        tag: u64,
-        mut make: impl FnMut(usize) -> Payload,
-        mut take: impl FnMut(usize, Payload),
-    ) {
-        let _audit = pilut_allocaudit::region("plan_replay");
-        ctx.note_planned(tag, self.predicted_cost().symmetric_messages, 0, false);
-        let send_tag = self.send_round_tag(tag);
-        for &peer in &self.union_peers {
-            let payload = make(peer);
-            ctx.send_as(peer, send_tag, tag, payload);
-        }
-        let recv_tag = self.recv_round_tag(tag);
-        for &peer in &self.union_peers {
-            let payload = ctx.recv(peer, recv_tag);
-            take(peer, payload);
         }
     }
 
@@ -386,4 +251,9 @@ impl CommPlan {
             payload.recycle();
         }
     }
+}
+
+/// The node list at position `k` of a schedule, empty for `None`.
+fn nodes_at(lists: &[(usize, Vec<usize>)], k: Option<usize>) -> &[usize] {
+    k.map_or(&[], |k| &lists[k].1)
 }

@@ -17,8 +17,8 @@
 //! the node lists both sides agreed on at plan time — no node ids, no keys
 //! on the wire — and every round's byte count is recorded **exactly** in
 //! the planned-traffic ledger before a byte ships
-//! ([`CommPlan::replay_exact_tagged`]), so `bench-verify --slack 0` gates
-//! the diet:
+//! ([`CommPlan::replay_framed`]), so `bench-verify --slack 0` gates the
+//! diet:
 //!
 //! 1. **`MIS_KEYS` — state deltas** (owner → referencing ranks): one word
 //!    `(idx << 2) | state` per owned node whose state changed since the
@@ -51,7 +51,8 @@
 //!   every kill — including the end-of-round member-adjacency sweep —
 //!   arrived in round `r`'s opening delta). This is the same information
 //!   timing as a full-state push, so the chosen set is bit-identical to
-//!   [`dist_mis_reference`] and independent of the rank count.
+//!   the full-push reference kept in this module's tests and independent
+//!   of the rank count.
 //! * **After `MIS_CONF` of round `r`:** membership (`IN`) is globally
 //!   consistent — owners mark shipped confirmations so they never re-ship
 //!   as deltas, and a receiver may treat a remote `IN` as final (states
@@ -63,9 +64,15 @@
 //!   decided *in the shared shipped-state view* (which owner and
 //!   referencer update in lockstep), no word can ever flow on that link
 //!   again — deltas need a state change, tentatives/confirmations/kills
-//!   need a candidate — so both endpoints skip its messages outright
-//!   ([`CommPlan::replay_exact_sparse_tagged`]). Late rounds of a level,
-//!   where most nodes are decided, collapse to near-zero messages.
+//!   need a candidate — so both endpoints skip its messages outright (the
+//!   liveness flags of [`CommPlan::replay_framed`]). Late rounds of a
+//!   level, where most nodes are decided, collapse to near-zero messages.
+//!
+//! State is addressed densely through the [`ReducedRows`] store the level
+//! plan was built from: my nodes by row slot, referenced remote nodes by
+//! receive lane. Every agreed list names my rows on the send side (a
+//! malformed plan is a [`FactorError::Protocol`]) and lanes on the receive
+//! side.
 //!
 //! Malformed frames (an out-of-range index, an unknown state code — e.g. a
 //! chaos-injected duplicate consumed as a later round's frame) surface as
@@ -73,11 +80,11 @@
 //! panics. The paper truncates at five rounds; leftovers stay candidates
 //! for the next level.
 
+use super::reduced::ReducedRows;
 use crate::dist::exchange::{tags, CommPlan};
 use crate::dist::Distribution;
 use crate::options::FactorError;
 use pilut_par::{Ctx, Payload};
-use std::collections::{HashMap, HashSet};
 
 /// Result of one distributed MIS computation.
 pub struct MisOutcome {
@@ -111,22 +118,18 @@ pub fn mis_key(seed: u64, level: u64, round: u64, node: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Collectively builds the level's communication plan from the current
-/// reduced rows (`node → sorted columns`, all rows owned by this rank).
-/// The send side lists my nodes each peer's rows reference; the receive
-/// side lists the remote nodes my rows reference. The factorizations reuse
-/// the same plan to route freshly factored `U` rows after the set is known.
-pub fn build_level_links(
-    ctx: &mut Ctx,
-    dist: &Distribution,
-    reduced_cols: &HashMap<usize, Vec<usize>>,
-) -> CommPlan {
+/// Collectively builds the level's communication plan from the live rows
+/// of `rows` and binds its receive lanes into the store. The send side
+/// lists my nodes each peer's rows reference; the receive side lists the
+/// remote nodes my rows reference. The factorizations reuse the same plan
+/// to route freshly factored `U` rows after the set is known.
+pub fn build_level_links(ctx: &mut Ctx, dist: &Distribution, rows: &mut ReducedRows) -> CommPlan {
     let me = ctx.rank();
-    let needed = reduced_cols
-        .values()
-        .flat_map(|cols| cols.iter().copied())
-        .filter(|&j| dist.owner(j) != me);
-    CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j))
+    let cols = rows.live().iter().flat_map(|&s| rows.cols(s));
+    let needed = cols.filter(|&j| dist.owner(j) != me);
+    let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
+    rows.bind_lanes(&plan);
+    plan
 }
 
 /// Splits one `MIS_KEYS` delta word into `(index, state)`, validating the
@@ -162,8 +165,9 @@ pub(crate) fn note_err(
     }
 }
 
-/// Runs the modified Luby algorithm for one level over the remaining rows.
-/// Every rank must call this collectively with consistent arguments.
+/// Runs the modified Luby algorithm for one level over the live rows of
+/// `rows`, which must be bound to `plan` ([`build_level_links`]). Every
+/// rank must call this collectively with consistent arguments.
 ///
 /// The paper's structure: the communication *setup* ([`build_level_links`])
 /// is the only collective; each of the (at most `max_rounds`) augmentation
@@ -176,35 +180,41 @@ pub(crate) fn note_err(
 pub fn dist_mis(
     ctx: &mut Ctx,
     plan: &CommPlan,
-    reduced_cols: &HashMap<usize, Vec<usize>>,
+    rows: &ReducedRows,
     seed: u64,
     level: u64,
     max_rounds: usize,
 ) -> Result<MisOutcome, FactorError> {
-    // Local state per owned node; remote state per referenced node. Every
-    // referenced remote node starts CAND — the shared baseline neither
-    // side ships (module invariants).
-    let mut state: HashMap<usize, u64> = reduced_cols.keys().map(|&v| (v, CAND)).collect();
-    let mut remote: HashMap<usize, u64> = plan
-        .recv_lists()
-        .iter()
-        .flat_map(|(_, nodes)| nodes.iter().map(|&v| (v, CAND)))
-        .collect();
-    // Last state shipped per owned node; absent means the implicit
-    // all-CAND baseline. One global map suffices because a transition
-    // ships to *all* referencing peers in the same round.
-    let mut shipped: HashMap<usize, u64> = HashMap::new();
-    // node → (owner peer, index in the pair's agreed list) for every
-    // referenced remote node — kills address the mirror list by index.
-    let remote_slot: HashMap<usize, (usize, usize)> = plan
-        .recv_lists()
-        .iter()
-        .flat_map(|(peer, nodes)| nodes.iter().enumerate().map(move |(i, &v)| (v, (*peer, i))))
-        .collect();
-    let send_list_of: HashMap<usize, &Vec<usize>> =
-        plan.send_lists().iter().map(|(q, ns)| (*q, ns)).collect();
-    let recv_list_of: HashMap<usize, &Vec<usize>> =
-        plan.recv_lists().iter().map(|(q, ns)| (*q, ns)).collect();
+    for (peer, nodes) in plan.send_lists() {
+        if let Some(v) = nodes.iter().find(|&&v| rows.slot_of(v).is_none()) {
+            let what = format!("from rank {peer}: node {v} is referenced but not a row of mine");
+            return Err(FactorError::Protocol {
+                tag: "mis_keys",
+                what,
+            });
+        }
+    }
+    // State per slot (slots out of the reduced system are decided) and per
+    // lane; every lane starts CAND — the shared baseline neither side ships
+    // (module invariants).
+    let mut state = vec![OUT; rows.n_slots()];
+    for &s in rows.live() {
+        state[s] = CAND;
+    }
+    let mut remote = vec![CAND; rows.lanes().len()];
+    // Last state shipped per slot, from the implicit all-CAND baseline. One
+    // per slot suffices because a transition ships to *all* referencing
+    // peers in the same round.
+    let mut shipped = vec![CAND; rows.n_slots()];
+    // Per-round flags: tentative winners by slot and by lane, kills by
+    // lane; `joined` lists the round's confirmed slots, ascending.
+    let mut tentative = vec![false; state.len()];
+    let (mut remote_tent, mut killed) = (vec![false; remote.len()], vec![false; remote.len()]);
+    let mut joined = Vec::new();
+    // Link liveness, one flag per send list and per receive list.
+    let mut sends = vec![false; plan.send_lists().len()];
+    let mut recvs = vec![false; plan.recv_lists().len()];
+    let pattern_len: usize = rows.live().iter().map(|&s| rows.row(s).len()).sum();
 
     let mut err: Option<FactorError> = None;
     // Audit scope for the post-plan rounds: everything after this point is
@@ -216,54 +226,32 @@ pub fn dist_mis(
         // Fixed round count (the paper runs exactly five): all ranks agree
         // on the schedule without a global convergence check. Skip the local
         // work when this rank has nothing left, but keep messaging aligned.
-        let undecided = state.values().filter(|&&s| s == CAND).count() as u64;
+        let undecided = rows.live().iter().filter(|&&s| state[s] == CAND).count();
         // Per-candidate key hashing is a handful of integer ops.
         ctx.work(5.0 * undecided as f64);
 
         // Link liveness from the *shared* view: owner and referencer hold
-        // identical shipped-state maps for every agreed list (`shipped` on
-        // the owner, `remote` on the referencer — both advance only at
-        // delta ship and confirmation), so both endpoints agree that a link
-        // whose nodes are all decided-and-shipped can never carry another
-        // word, and skip its messages entirely. Decided states are final,
-        // so a dead link stays dead.
-        let live_sets = |shipped: &HashMap<usize, u64>, remote: &HashMap<usize, u64>| {
-            let send: HashSet<usize> = plan
-                .send_lists()
-                .iter()
-                .filter(|(_, ns)| {
-                    ns.iter()
-                        .any(|v| shipped.get(v).copied().unwrap_or(CAND) == CAND)
-                })
-                .map(|(q, _)| *q)
-                .collect();
-            let recv: HashSet<usize> = plan
-                .recv_lists()
-                .iter()
-                .filter(|(_, ns)| {
-                    ns.iter()
-                        .any(|v| remote.get(v).copied().unwrap_or(CAND) == CAND)
-                })
-                .map(|(q, _)| *q)
-                .collect();
-            (send, recv)
-        };
-        let (live_send, live_recv) = live_sets(&shipped, &remote);
+        // identical shipped states for every agreed list (`shipped` on the
+        // owner, `remote` on the referencer — both advance only at delta
+        // ship and confirmation), so both endpoints agree that a link whose
+        // nodes are all decided-and-shipped can never carry another word,
+        // and skip its messages entirely. Decided states are final, so a
+        // dead link stays dead.
+        mark_live(plan, rows, &shipped, &remote, &mut sends, &mut recvs);
 
         // --- MIS_KEYS replay: state deltas since the previous ship. ------
         // Round 0 is the baseline round: exceptions to all-CAND only.
-        plan.replay_exact_sparse_tagged(
+        plan.replay_framed(
             ctx,
             tags::MIS_KEYS,
-            &live_send,
-            &live_recv,
+            |k| sends[k],
+            |k| recvs[k],
             |_, nodes| {
                 let mut frame: Vec<u64> = Vec::new();
-                for (idx, v) in nodes.iter().enumerate() {
-                    // Referenced nodes no longer in our row set are decided.
-                    let cur = state.get(v).copied().unwrap_or(OUT);
-                    if shipped.get(v).copied().unwrap_or(CAND) != cur {
-                        frame.push(((idx as u64) << 2) | cur);
+                for (idx, &v) in nodes.iter().enumerate() {
+                    let s = slot(rows, v);
+                    if shipped[s] != state[s] {
+                        frame.push(((idx as u64) << 2) | state[s]);
                     }
                 }
                 Payload::u64s(frame)
@@ -271,9 +259,7 @@ pub fn dist_mis(
             |peer, nodes, payload| {
                 for word in payload.into_u64() {
                     match decode_delta(word, nodes.len()) {
-                        Ok((idx, s)) => {
-                            remote.insert(nodes[idx], s);
-                        }
+                        Ok((idx, s)) => remote[lane(rows, nodes[idx])] = s,
                         Err(what) => note_err(&mut err, "mis_keys", peer, what),
                     }
                 }
@@ -283,8 +269,9 @@ pub fn dist_mis(
             return Err(e);
         }
         for (_, nodes) in plan.send_lists() {
-            for v in nodes {
-                shipped.insert(*v, state.get(v).copied().unwrap_or(OUT));
+            for &v in nodes {
+                let s = slot(rows, v);
+                shipped[s] = state[s];
             }
         }
         // Post-delta both views equal the current state of every agreed
@@ -292,65 +279,38 @@ pub fn dist_mis(
         // the symmetric confirmation round (a pair is live if either of its
         // directed lists still holds a candidate — only candidates can turn
         // tentative, be confirmed, or be killed).
-        let (live_send, live_recv) = live_sets(&shipped, &remote);
-        let live_pairs: HashSet<usize> = live_send.union(&live_recv).copied().collect();
+        mark_live(plan, rows, &shipped, &remote, &mut sends, &mut recvs);
 
         // --- Tentative winners (keys recomputed, never on the wire). -----
         let key_of = |v: usize| mis_key(seed, level, round, v as u64);
-        let mut tentative: HashMap<usize, bool> = HashMap::new();
-        for (&v, &s) in &state {
-            if s != CAND {
-                continue;
-            }
+        for &s in rows.live() {
+            let v = rows.node(s);
             let kv = (key_of(v), v);
-            let mut wins = true;
-            for &u in &reduced_cols[&v] {
-                if u == v {
-                    continue;
-                }
-                let su = match state.get(&u) {
-                    Some(&su) => su,
-                    None => {
-                        *remote
-                            .get(&u)
-                            // lint: allow(unwrap): the plan's receive lists cover every referenced remote node
-                            .expect("referenced remote node missing from plan")
-                    }
-                };
-                if su == CAND && (key_of(u), u) < kv {
-                    wins = false;
-                    break;
-                }
-            }
-            if wins {
-                tentative.insert(v, true);
-            }
+            tentative[s] = state[s] == CAND
+                && rows.cols(s).all(|u| {
+                    u == v || !(pick(rows, &state, &remote, u) == CAND && (key_of(u), u) < kv)
+                });
         }
-        ctx.work(reduced_cols.values().map(|c| c.len() as f64).sum::<f64>());
+        ctx.work(pattern_len as f64);
 
         // --- MIS_TENT replay: tentative winners, as indices. -------------
-        let mut remote_tentative: HashMap<usize, bool> = HashMap::new();
-        plan.replay_exact_sparse_tagged(
+        remote_tent.fill(false);
+        plan.replay_framed(
             ctx,
             tags::MIS_TENT,
-            &live_send,
-            &live_recv,
+            |k| sends[k],
+            |k| recvs[k],
             |_, nodes| {
-                Payload::u64s(
-                    nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| tentative.contains_key(v))
-                        .map(|(idx, _)| idx as u64)
-                        .collect(),
-                )
+                let tent = nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| tentative[slot(rows, v)]);
+                Payload::u64s(tent.map(|(idx, _)| idx as u64).collect())
             },
             |peer, nodes, payload| {
                 for word in payload.into_u64() {
                     match nodes.get(word as usize) {
-                        Some(&v) => {
-                            remote_tentative.insert(v, true);
-                        }
+                        Some(&v) => remote_tent[lane(rows, v)] = true,
                         None => note_err(
                             &mut err,
                             "mis_tent",
@@ -369,90 +329,70 @@ pub fn dist_mis(
         }
 
         // --- Confirm tentatives with no tentative out-neighbour. ---------
-        let mut confirmed: Vec<usize> = Vec::new();
-        for &v in tentative.keys() {
-            let conflict = reduced_cols[&v].iter().any(|&u| {
-                u != v && (tentative.contains_key(&u) || remote_tentative.contains_key(&u))
-            });
-            if !conflict {
-                confirmed.push(v);
+        joined.clear();
+        for &s in rows.live() {
+            let v = rows.node(s);
+            let tent = |u: usize| u != v && pick(rows, &tentative, &remote_tent, u);
+            if tentative[s] && !rows.cols(s).any(tent) {
+                joined.push(s);
             }
         }
-        confirmed.sort_unstable();
 
         // Apply local effects: members join, their local out-neighbours die.
-        let mut kills_by_rank: HashMap<usize, Vec<u64>> = HashMap::new();
-        for &v in &confirmed {
-            state.insert(v, IN);
+        for &s in &joined {
+            state[s] = IN;
             // The confirmation round below tells every referencing peer,
             // so the membership never re-ships as a delta.
-            shipped.insert(v, IN);
+            shipped[s] = IN;
         }
-        for &v in &confirmed {
-            for &u in &reduced_cols[&v] {
-                if u == v {
-                    continue;
-                }
-                match state.get_mut(&u) {
-                    Some(su) => {
-                        if *su == CAND {
-                            *su = OUT;
-                        }
-                    }
-                    None => {
-                        // Remote out-neighbour: its owner must kill it. The
-                        // kill addresses the pair's agreed list by index.
-                        let &(owner, idx) = remote_slot
-                            .get(&u)
-                            // lint: allow(unwrap): every referenced remote node is in the plan
-                            .expect("referenced node missing from plan");
-                        kills_by_rank
-                            .entry(owner)
-                            .or_default()
-                            .push(((idx as u64) << 1) | KILL_EV);
-                    }
+        killed.fill(false);
+        for &s in &joined {
+            let v = rows.node(s);
+            for u in rows.cols(s).filter(|&u| u != v) {
+                match rows.slot_of(u) {
+                    Some(t) if state[t] == CAND => state[t] = OUT,
+                    Some(_) => {}
+                    // Remote out-neighbour: its owner must kill it. The kill
+                    // addresses the pair's agreed list by index.
+                    None => killed[lane(rows, u)] = true,
                 }
             }
-        }
-        for kills in kills_by_rank.values_mut() {
-            kills.sort_unstable();
-            kills.dedup();
         }
 
         // --- MIS_CONF replay: confirmations + kills, symmetric round. ----
-        // Confirmations flow owner → referencing ranks; kills flow
-        // arc-source rank → target's owner. Every pair in the union of the
-        // two plan directions exchanges exactly one message carrying both
-        // event kinds where the directions coincide.
-        let confirmed_set: HashSet<usize> = confirmed.iter().copied().collect();
-        plan.replay_symmetric_exact_sparse_tagged(
+        // Confirmations flow owner → referencing ranks, in send-list order;
+        // kills flow arc-source rank → target's owner, in receive-list
+        // order. Every pair in the union of the two plan directions
+        // exchanges exactly one message carrying both event kinds where the
+        // directions coincide.
+        plan.replay_framed_symmetric(
             ctx,
             tags::MIS_CONF,
-            &live_pairs,
-            |peer| {
-                let mut frame: Vec<u64> = Vec::new();
-                if let Some(nodes) = send_list_of.get(&peer) {
-                    for (idx, v) in nodes.iter().enumerate() {
-                        if confirmed_set.contains(v) {
-                            frame.push(((idx as u64) << 1) | CONF_EV);
-                        }
-                    }
-                }
-                if let Some(kills) = kills_by_rank.get(&peer) {
-                    frame.extend_from_slice(kills);
-                }
+            |k| sends[k],
+            |k| recvs[k],
+            |_, send, recv| {
+                let confs = send
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| joined.binary_search(&slot(rows, v)).is_ok());
+                let kills = recv
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &u)| killed[lane(rows, u)]);
+                let mut frame: Vec<u64> = confs
+                    .map(|(idx, _)| ((idx as u64) << 1) | CONF_EV)
+                    .collect();
+                frame.extend(kills.map(|(idx, _)| ((idx as u64) << 1) | KILL_EV));
                 Payload::u64s(frame)
             },
-            |peer, payload| {
+            |peer, send, recv, payload| {
                 for word in payload.into_u64() {
                     let idx = (word >> 1) as usize;
                     if word & 1 == CONF_EV {
                         // Peer confirmed a node I reference: the index
                         // addresses my receive list from it.
-                        match recv_list_of.get(&peer).and_then(|ns| ns.get(idx)) {
-                            Some(&v) => {
-                                remote.insert(v, IN);
-                            }
+                        match recv.get(idx) {
+                            Some(&v) => remote[lane(rows, v)] = IN,
                             None => note_err(
                                 &mut err,
                                 "mis_conf",
@@ -463,12 +403,11 @@ pub fn dist_mis(
                     } else {
                         // Peer killed a node of mine: the index addresses
                         // my send list to it.
-                        match send_list_of.get(&peer).and_then(|ns| ns.get(idx)) {
+                        match send.get(idx) {
                             Some(&v) => {
-                                if let Some(s) = state.get_mut(&v) {
-                                    if *s == CAND {
-                                        *s = OUT;
-                                    }
+                                let s = slot(rows, v);
+                                if state[s] == CAND {
+                                    state[s] = OUT;
                                 }
                             }
                             None => note_err(
@@ -489,278 +428,318 @@ pub fn dist_mis(
         // Kill any local candidate pointing at a (local or remote) member.
         // These kills ship in the *next* round's opening delta — the same
         // information timing as the reference full-state push.
-        for (&v, cols) in reduced_cols {
-            if state[&v] != CAND {
-                continue;
-            }
-            let hits_member = cols.iter().any(|&u| {
-                u != v
-                    && match state.get(&u) {
-                        Some(&su) => su == IN,
-                        None => remote.get(&u).copied() == Some(IN),
-                    }
-            });
-            if hits_member {
-                state.insert(v, OUT);
+        for &s in rows.live() {
+            let v = rows.node(s);
+            let member = |u: usize| u != v && pick(rows, &state, &remote, u) == IN;
+            if state[s] == CAND && rows.cols(s).any(member) {
+                state[s] = OUT;
             }
         }
     }
 
-    let mut my_in: Vec<usize> = state
-        .iter()
-        .filter_map(|(&v, &s)| (s == IN).then_some(v))
-        .collect();
-    my_in.sort_unstable();
-    let mut remote_in: Vec<usize> = remote
-        .iter()
-        .filter_map(|(&v, &s)| (s == IN).then_some(v))
-        .collect();
+    let live = rows.live().iter().filter(|&&s| state[s] == IN);
+    let my_in = live.map(|&s| rows.node(s)).collect();
+    let lanes = rows.lanes().iter().zip(&remote);
+    let mut remote_in: Vec<usize> = lanes.filter(|&(_, &s)| s == IN).map(|(&v, _)| v).collect();
     remote_in.sort_unstable();
     Ok(MisOutcome { my_in, remote_in })
 }
 
-/// The pre-delta **full-push** protocol, retained verbatim as the
-/// differential-testing oracle for [`dist_mis`]: every round re-ships a
-/// `(node, key, state)` triple for every referenced node. Identical
-/// information timing, so both protocols choose bit-identical sets; the
-/// delta protocol just stops paying for what the receiver already knows.
-/// Not used by any production path.
-pub fn dist_mis_reference(
-    ctx: &mut Ctx,
+/// Link liveness from the shared view: a send list is live while one of
+/// its nodes was last shipped as a candidate, a receive list while one of
+/// its lanes is a candidate.
+fn mark_live(
     plan: &CommPlan,
-    reduced_cols: &HashMap<usize, Vec<usize>>,
-    seed: u64,
-    level: u64,
-    max_rounds: usize,
-) -> MisOutcome {
-    let mut state: HashMap<usize, u64> = reduced_cols.keys().map(|&v| (v, CAND)).collect();
-    let mut remote: HashMap<usize, (u64, u64)> = HashMap::new(); // node -> (key, state)
-
-    for round in 0..max_rounds as u64 {
-        let undecided = state.values().filter(|&&s| s == CAND).count() as u64;
-        ctx.work(5.0 * undecided as f64);
-
-        // --- Step 1 replay: push (key, state) of referenced nodes. --------
-        plan.replay_tagged(
-            ctx,
-            tags::MIS_KEYS,
-            |_, nodes| {
-                let mut buf = Vec::with_capacity(nodes.len() * 3);
-                for &v in nodes {
-                    buf.push(v as u64);
-                    buf.push(mis_key(seed, level, round, v as u64));
-                    buf.push(state.get(&v).copied().unwrap_or(OUT));
-                }
-                Payload::u64s(buf)
-            },
-            |_, _, payload| {
-                for c in payload.into_u64().chunks_exact(3) {
-                    remote.insert(c[0] as usize, (c[1], c[2]));
-                }
-            },
-        );
-
-        // --- Step 1: tentative winners. ------------------------------------
-        let key_of = |v: usize| mis_key(seed, level, round, v as u64);
-        let mut tentative: HashMap<usize, bool> = HashMap::new();
-        for (&v, &s) in &state {
-            if s != CAND {
-                continue;
-            }
-            let kv = (key_of(v), v);
-            let mut wins = true;
-            for &u in &reduced_cols[&v] {
-                if u == v {
-                    continue;
-                }
-                let (ku, su) = match state.get(&u) {
-                    Some(&su) => (key_of(u), su),
-                    None => {
-                        let &(ku, su) = remote
-                            .get(&u)
-                            // lint: allow(unwrap): the replay returns exactly the requested remote nodes
-                            .expect("referenced remote node missing from exchange");
-                        (ku, su)
-                    }
-                };
-                if su == CAND && (ku, u) < kv {
-                    wins = false;
-                    break;
-                }
-            }
-            if wins {
-                tentative.insert(v, true);
-            }
-        }
-        ctx.work(reduced_cols.values().map(|c| c.len() as f64).sum::<f64>());
-
-        // --- Step 2 replay: push tentative flags of referenced nodes. -----
-        let mut remote_tentative: HashMap<usize, bool> = HashMap::new();
-        plan.replay_tagged(
-            ctx,
-            tags::MIS_TENT,
-            |_, nodes| {
-                Payload::u64s(
-                    nodes
-                        .iter()
-                        .filter(|v| tentative.contains_key(v))
-                        .map(|&v| v as u64)
-                        .collect(),
-                )
-            },
-            |_, _, payload| {
-                for v in payload.into_u64() {
-                    remote_tentative.insert(v as usize, true);
-                }
-            },
-        );
-
-        // --- Step 2: confirm tentatives with no tentative out-neighbour. ---
-        let mut confirmed: Vec<usize> = Vec::new();
-        for &v in tentative.keys() {
-            let conflict = reduced_cols[&v].iter().any(|&u| {
-                u != v && (tentative.contains_key(&u) || remote_tentative.contains_key(&u))
-            });
-            if !conflict {
-                confirmed.push(v);
-            }
-        }
-        confirmed.sort_unstable();
-
-        // Apply local effects: members join, their local out-neighbours die.
-        let mut kills_by_rank: HashMap<usize, Vec<u64>> = HashMap::new();
-        for &v in &confirmed {
-            state.insert(v, IN);
-        }
-        for &v in &confirmed {
-            for &u in &reduced_cols[&v] {
-                if u == v {
-                    continue;
-                }
-                match state.get_mut(&u) {
-                    Some(su) => {
-                        if *su == CAND {
-                            *su = OUT;
-                        }
-                    }
-                    None => {
-                        let owner = plan
-                            .owner_of(u)
-                            // lint: allow(unwrap): every referenced remote node is in the plan
-                            .expect("referenced node missing from plan");
-                        kills_by_rank.entry(owner).or_default().push(u as u64);
-                    }
-                }
-            }
-        }
-
-        // --- Step 3 replay: confirmations + kills, symmetric round. -------
-        // Encoding: [n_confirmed, confirmed..., kills...].
-        let confirmed_set: HashSet<usize> = confirmed.iter().copied().collect();
-        let conf_by_peer: HashMap<usize, Vec<u64>> = plan
-            .send_lists()
-            .iter()
-            .map(|(peer, nodes)| {
-                (
-                    *peer,
-                    nodes
-                        .iter()
-                        .filter(|v| confirmed_set.contains(v))
-                        .map(|&v| v as u64)
-                        .collect(),
-                )
-            })
-            .collect();
-        plan.replay_symmetric_tagged(
-            ctx,
-            tags::MIS_CONF,
-            |peer| {
-                let conf = conf_by_peer.get(&peer).cloned().unwrap_or_default();
-                let kills = kills_by_rank.get(&peer).cloned().unwrap_or_default();
-                let mut buf = Vec::with_capacity(conf.len() + kills.len() + 1);
-                buf.push(conf.len() as u64);
-                buf.extend_from_slice(&conf);
-                buf.extend_from_slice(&kills);
-                Payload::u64s(buf)
-            },
-            |_, payload| {
-                let buf = payload.into_u64();
-                assert!(
-                    !buf.is_empty(),
-                    "mis_conf reference frame must carry a count header"
-                );
-                let nc = buf[0] as usize;
-                assert!(nc < buf.len(), "mis_conf reference frame truncated");
-                for &v in &buf[1..1 + nc] {
-                    remote.entry(v as usize).or_insert((0, CAND)).1 = IN;
-                }
-                for &v in &buf[1 + nc..] {
-                    if let Some(s) = state.get_mut(&(v as usize)) {
-                        if *s == CAND {
-                            *s = OUT;
-                        }
-                    }
-                }
-            },
-        );
-
-        // Kill any local candidate pointing at a (local or remote) member.
-        for (&v, cols) in reduced_cols {
-            if state[&v] != CAND {
-                continue;
-            }
-            let hits_member = cols.iter().any(|&u| {
-                u != v
-                    && match state.get(&u) {
-                        Some(&su) => su == IN,
-                        None => remote.get(&u).map(|&(_, s)| s == IN).unwrap_or(false),
-                    }
-            });
-            if hits_member {
-                state.insert(v, OUT);
-            }
-        }
+    rows: &ReducedRows,
+    shipped: &[u64],
+    remote: &[u64],
+    sends: &mut [bool],
+    recvs: &mut [bool],
+) {
+    for ((_, nodes), live) in plan.send_lists().iter().zip(sends) {
+        *live = nodes.iter().any(|&v| shipped[slot(rows, v)] == CAND);
     }
+    for ((_, nodes), live) in plan.recv_lists().iter().zip(recvs) {
+        *live = nodes.iter().any(|&v| remote[lane(rows, v)] == CAND);
+    }
+}
 
-    let mut my_in: Vec<usize> = state
-        .iter()
-        .filter_map(|(&v, &s)| (s == IN).then_some(v))
-        .collect();
-    my_in.sort_unstable();
-    let mut remote_in: Vec<usize> = remote
-        .iter()
-        .filter_map(|(&v, &(_, s))| (s == IN).then_some(v))
-        .collect();
-    remote_in.sort_unstable();
-    MisOutcome { my_in, remote_in }
+/// The slot of my node `v` of a send list (checked on entry to
+/// [`dist_mis`]).
+fn slot(rows: &ReducedRows, v: usize) -> usize {
+    let slot = rows.slot_of(v);
+    // lint: allow(unwrap): dist_mis rejects send lists that name other nodes
+    slot.expect("send-list node is not a row of mine")
+}
+
+/// The lane of remote node `v` — of a receive list of the bound plan, or a
+/// remote column of the rows the plan was built from.
+fn lane(rows: &ReducedRows, v: usize) -> usize {
+    let lane = rows.lane_of(v);
+    // lint: allow(unwrap): the bound plan receives every remote column of its rows
+    lane.expect("remote node has no lane in the level plan")
+}
+
+/// The entry of column `u` of one of my live rows in a per-slot array
+/// `mine` or a per-lane array `lanes`.
+fn pick<T: Copy>(rows: &ReducedRows, mine: &[T], lanes: &[T], u: usize) -> T {
+    match rows.slot_of(u) {
+        Some(s) => mine[s],
+        None => lanes[lane(rows, u)],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pilut_par::{Machine, MachineModel};
+    use std::collections::{HashMap, HashSet};
 
-    /// Builds the `node → cols` map of the `v % p == me` slice of a small
-    /// directed graph (plus diagonals).
-    fn local_rows(
-        n: usize,
-        arcs: &[(usize, usize)],
-        p: usize,
-        me: usize,
-    ) -> HashMap<usize, Vec<usize>> {
-        let mut reduced: HashMap<usize, Vec<usize>> = HashMap::new();
-        for v in 0..n {
-            if v % p == me {
-                let mut cols: Vec<usize> = arcs
-                    .iter()
-                    .filter(|&&(s, _)| s == v)
-                    .map(|&(_, t)| t)
-                    .collect();
-                cols.push(v); // diagonal
-                cols.sort_unstable();
-                cols.dedup();
-                reduced.insert(v, cols);
+    /// The pre-delta **full-push** protocol, retained verbatim as the
+    /// differential-testing oracle for [`dist_mis`]: every round re-ships a
+    /// `(node, key, state)` triple for every referenced node. Identical
+    /// information timing, so both protocols choose bit-identical sets; the
+    /// delta protocol just stops paying for what the receiver already knows.
+    fn dist_mis_reference(
+        ctx: &mut Ctx,
+        plan: &CommPlan,
+        rows: &ReducedRows,
+        seed: u64,
+        level: u64,
+        max_rounds: usize,
+    ) -> MisOutcome {
+        let reduced_cols: HashMap<usize, Vec<usize>> = rows
+            .live()
+            .iter()
+            .map(|&s| (rows.node(s), rows.cols(s).collect()))
+            .collect();
+        let mut state: HashMap<usize, u64> = reduced_cols.keys().map(|&v| (v, CAND)).collect();
+        let mut remote: HashMap<usize, (u64, u64)> = HashMap::new(); // node -> (key, state)
+
+        for round in 0..max_rounds as u64 {
+            let undecided = state.values().filter(|&&s| s == CAND).count() as u64;
+            ctx.work(5.0 * undecided as f64);
+
+            // --- Step 1 replay: push (key, state) of referenced nodes. --------
+            plan.replay_framed(
+                ctx,
+                tags::MIS_KEYS,
+                |_| true,
+                |_| true,
+                |_, nodes| {
+                    let mut buf = Vec::with_capacity(nodes.len() * 3);
+                    for &v in nodes {
+                        buf.push(v as u64);
+                        buf.push(mis_key(seed, level, round, v as u64));
+                        buf.push(state.get(&v).copied().unwrap_or(OUT));
+                    }
+                    Payload::u64s(buf)
+                },
+                |_, _, payload| {
+                    for c in payload.into_u64().chunks_exact(3) {
+                        remote.insert(c[0] as usize, (c[1], c[2]));
+                    }
+                },
+            );
+
+            // --- Step 1: tentative winners. ------------------------------------
+            let key_of = |v: usize| mis_key(seed, level, round, v as u64);
+            let mut tentative: HashMap<usize, bool> = HashMap::new();
+            for (&v, &s) in &state {
+                if s != CAND {
+                    continue;
+                }
+                let kv = (key_of(v), v);
+                let mut wins = true;
+                for &u in &reduced_cols[&v] {
+                    if u == v {
+                        continue;
+                    }
+                    let (ku, su) = match state.get(&u) {
+                        Some(&su) => (key_of(u), su),
+                        None => {
+                            let &(ku, su) = remote
+                                .get(&u)
+                                // lint: allow(unwrap): the replay returns exactly the requested remote nodes
+                                .expect("referenced remote node missing from exchange");
+                            (ku, su)
+                        }
+                    };
+                    if su == CAND && (ku, u) < kv {
+                        wins = false;
+                        break;
+                    }
+                }
+                if wins {
+                    tentative.insert(v, true);
+                }
             }
+            ctx.work(reduced_cols.values().map(|c| c.len() as f64).sum::<f64>());
+
+            // --- Step 2 replay: push tentative flags of referenced nodes. -----
+            let mut remote_tentative: HashMap<usize, bool> = HashMap::new();
+            plan.replay_framed(
+                ctx,
+                tags::MIS_TENT,
+                |_| true,
+                |_| true,
+                |_, nodes| {
+                    Payload::u64s(
+                        nodes
+                            .iter()
+                            .filter(|v| tentative.contains_key(v))
+                            .map(|&v| v as u64)
+                            .collect(),
+                    )
+                },
+                |_, _, payload| {
+                    for v in payload.into_u64() {
+                        remote_tentative.insert(v as usize, true);
+                    }
+                },
+            );
+
+            // --- Step 2: confirm tentatives with no tentative out-neighbour. ---
+            let mut confirmed: Vec<usize> = Vec::new();
+            for &v in tentative.keys() {
+                let conflict = reduced_cols[&v].iter().any(|&u| {
+                    u != v && (tentative.contains_key(&u) || remote_tentative.contains_key(&u))
+                });
+                if !conflict {
+                    confirmed.push(v);
+                }
+            }
+            confirmed.sort_unstable();
+
+            // Apply local effects: members join, their local out-neighbours die.
+            let mut kills_by_rank: HashMap<usize, Vec<u64>> = HashMap::new();
+            for &v in &confirmed {
+                state.insert(v, IN);
+            }
+            for &v in &confirmed {
+                for &u in &reduced_cols[&v] {
+                    if u == v {
+                        continue;
+                    }
+                    match state.get_mut(&u) {
+                        Some(su) => {
+                            if *su == CAND {
+                                *su = OUT;
+                            }
+                        }
+                        None => {
+                            let (owner, _) = plan
+                                .recv_lists()
+                                .iter()
+                                .find(|(_, nodes)| nodes.binary_search(&u).is_ok())
+                                .expect("referenced node missing from plan");
+                            let owner = *owner;
+                            kills_by_rank.entry(owner).or_default().push(u as u64);
+                        }
+                    }
+                }
+            }
+
+            // --- Step 3 replay: confirmations + kills, symmetric round. -------
+            // Encoding: [n_confirmed, confirmed..., kills...].
+            let confirmed_set: HashSet<usize> = confirmed.iter().copied().collect();
+            let conf_by_peer: HashMap<usize, Vec<u64>> = plan
+                .send_lists()
+                .iter()
+                .map(|(peer, nodes)| {
+                    (
+                        *peer,
+                        nodes
+                            .iter()
+                            .filter(|v| confirmed_set.contains(v))
+                            .map(|&v| v as u64)
+                            .collect(),
+                    )
+                })
+                .collect();
+            plan.replay_framed_symmetric(
+                ctx,
+                tags::MIS_CONF,
+                |_| true,
+                |_| true,
+                |peer, _, _| {
+                    let conf = conf_by_peer.get(&peer).cloned().unwrap_or_default();
+                    let kills = kills_by_rank.get(&peer).cloned().unwrap_or_default();
+                    let mut buf = Vec::with_capacity(conf.len() + kills.len() + 1);
+                    buf.push(conf.len() as u64);
+                    buf.extend_from_slice(&conf);
+                    buf.extend_from_slice(&kills);
+                    Payload::u64s(buf)
+                },
+                |_, _, _, payload| {
+                    let buf = payload.into_u64();
+                    assert!(
+                        !buf.is_empty(),
+                        "mis_conf reference frame must carry a count header"
+                    );
+                    let nc = buf[0] as usize;
+                    assert!(nc < buf.len(), "mis_conf reference frame truncated");
+                    for &v in &buf[1..1 + nc] {
+                        remote.entry(v as usize).or_insert((0, CAND)).1 = IN;
+                    }
+                    for &v in &buf[1 + nc..] {
+                        if let Some(s) = state.get_mut(&(v as usize)) {
+                            if *s == CAND {
+                                *s = OUT;
+                            }
+                        }
+                    }
+                },
+            );
+
+            // Kill any local candidate pointing at a (local or remote) member.
+            for (&v, cols) in &reduced_cols {
+                if state[&v] != CAND {
+                    continue;
+                }
+                let hits_member = cols.iter().any(|&u| {
+                    u != v
+                        && match state.get(&u) {
+                            Some(&su) => su == IN,
+                            None => remote.get(&u).map(|&(_, s)| s == IN).unwrap_or(false),
+                        }
+                });
+                if hits_member {
+                    state.insert(v, OUT);
+                }
+            }
+        }
+
+        let mut my_in: Vec<usize> = state
+            .iter()
+            .filter_map(|(&v, &s)| (s == IN).then_some(v))
+            .collect();
+        my_in.sort_unstable();
+        let mut remote_in: Vec<usize> = remote
+            .iter()
+            .filter_map(|(&v, &(_, s))| (s == IN).then_some(v))
+            .collect();
+        remote_in.sort_unstable();
+        MisOutcome { my_in, remote_in }
+    }
+
+    /// Builds the store of the `v % p == me` slice of a small directed
+    /// graph (plus diagonals).
+    fn local_rows(n: usize, arcs: &[(usize, usize)], p: usize, me: usize) -> ReducedRows {
+        let nodes: Vec<usize> = (0..n).filter(|v| v % p == me).collect();
+        let mut reduced = ReducedRows::new(n, nodes.clone());
+        for (s, &v) in nodes.iter().enumerate() {
+            let mut cols: Vec<usize> = arcs
+                .iter()
+                .filter(|&&(s, _)| s == v)
+                .map(|&(_, t)| t)
+                .collect();
+            cols.push(v); // diagonal
+            cols.sort_unstable();
+            cols.dedup();
+            reduced
+                .row_mut(s)
+                .extend(cols.into_iter().map(|c| (c, 1.0)));
         }
         reduced
     }
@@ -780,8 +759,8 @@ mod tests {
         let dist = Distribution::from_part(part, p);
         let arcs = arcs.to_vec();
         let out = Machine::run_checked(p, MachineModel::cray_t3d(), |ctx| {
-            let reduced = local_rows(n, &arcs, p, ctx.rank());
-            let plan = build_level_links(ctx, &dist, &reduced);
+            let mut reduced = local_rows(n, &arcs, p, ctx.rank());
+            let plan = build_level_links(ctx, &dist, &mut reduced);
             if reference {
                 dist_mis_reference(ctx, &plan, &reduced, seed, 0, rounds).my_in
             } else {
@@ -914,8 +893,8 @@ mod tests {
             let arcs = arcs.clone();
             let dist = dist.clone();
             Machine::run_checked(4, MachineModel::cray_t3d(), move |ctx| {
-                let reduced = local_rows(24, &arcs, 4, ctx.rank());
-                let plan = build_level_links(ctx, &dist, &reduced);
+                let mut reduced = local_rows(24, &arcs, 4, ctx.rank());
+                let plan = build_level_links(ctx, &dist, &mut reduced);
                 if reference {
                     dist_mis_reference(ctx, &plan, &reduced, 7, 0, 5).my_in
                 } else {
@@ -971,15 +950,19 @@ mod tests {
             let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
             if me == 1 {
                 // A hand-rolled corrupt round in place of the real one.
-                plan.replay_exact_tagged(
+                plan.replay_framed(
                     ctx,
                     tags::MIS_KEYS,
+                    |_| true,
+                    |_| true,
                     |_, _| Payload::u64s(vec![(9 << 2) | OUT]),
                     |_, _, _| {},
                 );
                 return "sender".to_string();
             }
-            let reduced: HashMap<usize, Vec<usize>> = [(0usize, vec![0usize, 1])].into();
+            let mut reduced = ReducedRows::new(2, vec![0]);
+            reduced.row_mut(0).extend([(0, 1.0), (1, 1.0)]);
+            reduced.bind_lanes(&plan);
             match dist_mis(ctx, &plan, &reduced, 1, 0, 1) {
                 Err(FactorError::Protocol { tag, what }) => format!("{tag}: {what}"),
                 other => format!("unexpected: {:?}", other.map(|m| m.my_in)),
@@ -990,6 +973,32 @@ mod tests {
             out.results[0].starts_with("mis_keys: from rank 1:"),
             "{}",
             out.results[0]
+        );
+    }
+
+    #[test]
+    fn send_list_naming_a_foreign_node_is_a_protocol_error() {
+        // Rank 1 references node 0, which rank 0 owns but holds no row
+        // for: rank 0's plan then names a node outside its store, which
+        // must surface as FactorError::Protocol before any round ships.
+        let dist = Distribution::block(2, 2);
+        let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+            let me = ctx.rank();
+            let needed = if me == 1 { vec![0] } else { vec![] };
+            let plan = CommPlan::build(ctx, tags::MIS_KEYS, needed, |j| dist.owner(j));
+            if me == 1 {
+                return "referencer".to_string();
+            }
+            let mut reduced = ReducedRows::new(2, vec![]);
+            reduced.bind_lanes(&plan);
+            match dist_mis(ctx, &plan, &reduced, 1, 0, 1) {
+                Err(FactorError::Protocol { tag, what }) => format!("{tag}: {what}"),
+                other => format!("unexpected: {:?}", other.map(|m| m.my_in)),
+            }
+        });
+        assert_eq!(
+            out.results[0],
+            "mis_keys: from rank 1: node 0 is referenced but not a row of mine"
         );
     }
 }

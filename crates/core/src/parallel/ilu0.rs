@@ -20,12 +20,12 @@ use crate::dist::exchange::tags;
 use crate::dist::{DistMatrix, LocalView};
 use crate::options::{BreakdownPolicy, FactorError};
 use crate::parallel::dist_mis::{build_level_links, dist_mis};
+use crate::parallel::reduced::{LaneRows, ReducedRows};
 use crate::parallel::{
-    collective_fault_verdict, own_pos, ship_u_rows, FactorRow, ParStats, RankFactors,
+    collective_fault_verdict, initial_cols, own_pos, ship_u_rows, FactorRow, ParStats, RankFactors,
 };
 use pilut_par::Ctx;
 use pilut_sparse::WorkRow;
-use std::collections::{HashMap, HashSet};
 
 /// Runs the parallel zero-fill factorization. Collective. Aborts on the
 /// first unusable pivot; use [`par_ilu0_with`] to recover instead.
@@ -116,7 +116,7 @@ pub fn par_ilu0_with(
     // ---- Phase 1b: eliminate interiors from interface rows (pattern-
     // restricted); the surviving interface-column values are the rank's
     // slice of A_I, whose pattern equals the original one.
-    let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
+    let mut reduced = ReducedRows::new(n, local.interface.clone());
     let n_interior = local.interior.len();
     for (slot, &i) in local.interface.iter().enumerate() {
         let (cols, vals) = a.row(i);
@@ -138,64 +138,52 @@ pub fn par_ilu0_with(
             stats.flops += 2.0 * urow.u.len() as f64 + 1.0;
             ctx.work(2.0 * urow.u.len() as f64 + 1.0);
         }
-        let rest = w.drain_sorted();
+        let rest = reduced.row_mut(slot);
+        w.drain_sorted_into(rest);
         stats.reduced_nnz_initial += rest.len();
         rows[n_interior + slot].l = lower;
-        reduced.insert(i, rest);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let mut initial_reduced_cols: Vec<(usize, Vec<usize>)> = reduced
-        .iter()
-        .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-        .collect();
-    initial_reduced_cols.sort_unstable_by_key(|&(v, _)| v);
+    let initial_reduced_cols = initial_cols(&reduced);
 
     // ---- Symbolic schedule: peel independent sets off the static pattern.
     // (This is the "colouring" of Figure 1a: it depends only on structure.)
-    let mut remaining: HashSet<usize> = reduced.keys().copied().collect();
-    let mut scheduled_remote: HashSet<usize> = HashSet::new();
+    // `pattern` holds the still-unscheduled rows, each restricted to the
+    // still-unscheduled columns (local ones we know directly; remote ones
+    // from the previous levels' outcomes).
+    let mut pattern = reduced.clone();
+    let mut scheduled = vec![false; n];
     let mut schedule: Vec<Vec<usize>> = Vec::new();
     let mut level_idx = 0u64;
     loop {
-        let left = ctx.all_reduce_sum_u64(remaining.len() as u64);
+        let left = ctx.all_reduce_sum_u64(pattern.live().len() as u64);
         if left == 0 {
             break;
         }
-        // Pattern restricted to the still-unscheduled nodes (local ones we
-        // know directly; remote ones from the previous levels' outcomes).
-        let pat: HashMap<usize, Vec<usize>> = remaining
-            .iter()
-            .map(|&v| {
-                let cols: Vec<usize> = reduced[&v]
-                    .iter()
-                    .map(|&(c, _)| c)
-                    .filter(|&c| {
-                        c == v
-                            || remaining.contains(&c)
-                            || (role[c] == 0 && !scheduled_remote.contains(&c))
-                    })
-                    .collect();
-                (v, cols)
-            })
-            .collect();
-        let plan = build_level_links(ctx, dm.dist(), &pat);
-        let mis = dist_mis(ctx, &plan, &pat, 0xC0105, level_idx, 5)?;
-        for &v in &mis.my_in {
-            remaining.remove(&v);
+        let plan = build_level_links(ctx, dm.dist(), &mut pattern);
+        let mis = dist_mis(ctx, &plan, &pattern, 0xC0105, level_idx, 5)?;
+        for &v in mis.my_in.iter().chain(&mis.remote_in) {
+            scheduled[v] = true;
         }
-        scheduled_remote.extend(mis.remote_in.iter().copied());
+        pattern.retire(&mis.my_in);
+        for k in 0..pattern.live().len() {
+            let slot = pattern.live()[k];
+            pattern.row_mut(slot).retain(|&(c, _)| !scheduled[c]);
+        }
         schedule.push(mis.my_in);
         level_idx += 1;
     }
 
     // ---- Numeric interface factorization, level by level.
+    let mut remote_u = LaneRows::default();
+    let (mut pivots, mut mults) = (Vec::new(), Vec::new());
     for level in &schedule {
         // Finish the rows of this level: their remaining couplings to
         // *unfactored* nodes form U; couplings to already-factored interface
         // nodes were eliminated in earlier sweeps below.
         for &v in level {
-            // lint: allow(unwrap): scheduling inserts every reduced row before it is scheduled
-            let rr = reduced.remove(&v).expect("scheduled row missing");
+            // lint: allow(unwrap): the schedule lists my interface rows only
+            let rr = reduced.take(reduced.slot_of(v).expect("scheduled row missing"));
             let mut diag = 0.0;
             let mut has_diag = false;
             let mut upper = Vec::with_capacity(rr.len());
@@ -223,41 +211,35 @@ pub fn par_ilu0_with(
             row.diag = diag;
             row.u = upper;
         }
+        reduced.retire(level);
 
         // Ship the new U rows along the current level's plan, then eliminate
         // this level's unknowns from the remaining rows (pattern-restricted).
-        let pat: HashMap<usize, Vec<usize>> = reduced
-            .iter()
-            .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-            .collect();
-        let plan = build_level_links(ctx, dm.dist(), &pat);
-        let level_set: HashSet<usize> = level.iter().copied().collect();
-        let remote_u = ship_u_rows(ctx, &plan, tags::U0, local, &rows, |v| {
-            level_set.contains(&v)
-        })?;
-        // Remote members of this level, detectable from the shipped rows.
-        let keys: Vec<usize> = reduced.keys().copied().collect();
-        for i in keys {
-            // lint: allow(unwrap): the level schedule covers every remaining row
-            let rr = reduced.remove(&i).unwrap();
-            let pivots: Vec<usize> = rr
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c != i && (level_set.contains(&c) || remote_u.contains_key(&c)))
-                .collect();
+        let plan = build_level_links(ctx, dm.dist(), &mut reduced);
+        let is_member = |v: usize| level.binary_search(&v).is_ok();
+        let member_row = |v: usize| is_member(v).then(|| &rows[own_pos(local, v)]);
+        ship_u_rows(ctx, &plan, tags::U0, n, member_row, &mut remote_u)?;
+        let remote_row = |reduced: &ReducedRows, k| remote_u.get(reduced.lane_of(k)?);
+        for idx in 0..reduced.live().len() {
+            let slot = reduced.live()[idx];
+            let i = reduced.node(slot);
+            // Remote members of this level, detectable from the shipped rows.
+            let shipped = |c| remote_row(&reduced, c).is_some();
+            pivots.clear();
+            let cols = reduced.cols(slot);
+            pivots.extend(cols.filter(|&c| c != i && (is_member(c) || shipped(c))));
             if pivots.is_empty() {
-                reduced.insert(i, rr);
                 continue;
             }
-            for (c, v) in rr {
+            for &(c, v) in reduced.row(slot) {
                 w.set(c, v);
             }
-            let mut mults: Vec<(usize, f64)> = Vec::with_capacity(pivots.len());
-            for k in pivots {
-                let urow = if role[k] != 0 {
-                    &rows[own_pos(local, k)]
-                } else {
-                    &remote_u[&k]
+            mults.clear();
+            for &k in &pivots {
+                let (diag_k, u_k) = match local.pos_of(k) {
+                    Some(p) => (rows[p].diag, &rows[p].u[..]),
+                    // lint: allow(unwrap): remote pivots were picked for their shipped rows
+                    None => remote_row(&reduced, k).expect("missing U row for level pivot"),
                 };
                 let wk = w.get(k);
                 w.drop_pos(k);
@@ -265,20 +247,20 @@ pub fn par_ilu0_with(
                 if wk == 0.0 {
                     continue;
                 }
-                let mult = wk / urow.diag;
-                for &(j, uv) in &urow.u {
+                let mult = wk / diag_k;
+                for &(j, uv) in u_k {
                     if w.contains(j) {
                         w.add(j, -mult * uv);
                     }
                 }
-                stats.flops += 2.0 * urow.u.len() as f64 + 1.0;
-                ctx.work(2.0 * urow.u.len() as f64 + 1.0);
+                stats.flops += 2.0 * u_k.len() as f64 + 1.0;
+                ctx.work(2.0 * u_k.len() as f64 + 1.0);
                 mults.push((k, mult));
             }
-            let row = &mut rows[own_pos(local, i)];
-            row.l.extend(mults);
+            let row = &mut rows[n_interior + slot];
+            row.l.extend_from_slice(&mults);
             row.l.sort_unstable_by_key(|&(c, _)| c);
-            reduced.insert(i, w.drain_sorted());
+            w.drain_sorted_into(reduced.row_mut(slot));
         }
     }
 

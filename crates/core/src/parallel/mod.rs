@@ -19,9 +19,11 @@
 pub mod assemble;
 pub mod dist_mis;
 pub mod ilu0;
+mod reduced;
 
 pub use assemble::assemble_factors;
 pub use ilu0::{par_ilu0, par_ilu0_with};
+pub use reduced::ReducedRows;
 
 use crate::breakdown::{PivotDoctor, PivotFault};
 use crate::dist::exchange::{tags, CommPlan};
@@ -32,8 +34,9 @@ use crate::serial::drop_rules::{selection_cost, threshold_and_cap, threshold_and
 use dist_mis::{build_level_links, dist_mis, note_err};
 use pilut_par::{Ctx, Payload};
 use pilut_sparse::WorkRow;
+use reduced::LaneRows;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// One row while the factorization is running, in global column ids: `l`
@@ -206,6 +209,15 @@ impl RankFactors {
     }
 }
 
+/// Column patterns of the initial reduced rows, for
+/// [`RankFactors::initial_reduced_cols`].
+pub(crate) fn initial_cols(reduced: &ReducedRows) -> Vec<(usize, Vec<usize>)> {
+    let slots = 0..reduced.n_slots();
+    slots
+        .map(|s| (reduced.node(s), reduced.cols(s).collect()))
+        .collect()
+}
+
 /// Local-view position of one of this rank's own nodes.
 fn own_pos(local: &LocalView, g: usize) -> usize {
     // lint: allow(unwrap): callers only ask for rows this rank owns
@@ -213,31 +225,36 @@ fn own_pos(local: &LocalView, g: usize) -> usize {
 }
 
 /// Ships the freshly factored `U` rows of one interface level along the
-/// level plan: each rank sends one (possibly empty) batch to every peer
-/// that references its nodes and receives one from every peer whose nodes
-/// it references. `is_member(v)` selects the level's members; `rows` is
-/// indexed by local-view position. Wire format per peer: `U64 = [node,
-/// len, cols…]*`, `F64 = [diag, vals…]*`, nodes in the pair's agreed order.
-/// Returns the received rows by global node; a malformed frame yields
-/// [`FactorError::Protocol`] from the rank that received it.
-pub(crate) fn ship_u_rows(
+/// level plan, in one full framed round: each rank sends one (possibly
+/// empty) batch to every peer that references its nodes and receives one
+/// from every peer whose nodes it references. `member_row(v)` is the row
+/// of `v` if it is a member of the level. Wire format per peer: `U64 =
+/// [node, len, cols…]*`, `F64 = [diag, vals…]*`, nodes in the pair's agreed
+/// order. The received rows land in `out` by receive lane; columns must
+/// lie below `n`. A malformed frame yields [`FactorError::Protocol`] from
+/// the rank that received it.
+pub(crate) fn ship_u_rows<'a>(
     ctx: &mut Ctx,
     plan: &CommPlan,
     tag: u64,
-    local: &LocalView,
-    rows: &[FactorRow],
-    is_member: impl Fn(usize) -> bool,
-) -> Result<HashMap<usize, FactorRow>, FactorError> {
-    let mut remote_u = HashMap::new();
+    n: usize,
+    member_row: impl Fn(usize) -> Option<&'a FactorRow>,
+    out: &mut LaneRows,
+) -> Result<(), FactorError> {
+    out.reset(plan.recv_lists().iter().map(|(_, nodes)| nodes.len()).sum());
     let mut err = None;
-    plan.replay_tagged(
+    // A full round drains the receive lists in peer order, so each list's
+    // lanes follow on from the previous list's.
+    let mut first_lane = 0;
+    plan.replay_framed(
         ctx,
         tag,
+        |_| true,
+        |_| true,
         |_, nodes| {
             let mut bu = Vec::new();
             let mut bf = Vec::new();
-            for &v in nodes.iter().filter(|&&v| is_member(v)) {
-                let row = &rows[own_pos(local, v)];
+            for (v, row) in nodes.iter().filter_map(|&v| Some((v, member_row(v)?))) {
                 bu.push(v as u64);
                 bu.push(row.u.len() as u64);
                 bu.extend(row.u.iter().map(|&(c, _)| c as u64));
@@ -247,21 +264,25 @@ pub(crate) fn ship_u_rows(
             Payload::mixed(bu, bf)
         },
         |peer, nodes, payload| {
-            if let Err(what) = decode_u_rows(payload, nodes, &mut remote_u) {
+            if let Err(what) = decode_u_rows(payload, nodes, first_lane, n, out) {
                 note_err(&mut err, tags::tag_name(tag), peer, what);
             }
+            first_lane += nodes.len();
         },
     );
-    err.map_or(Ok(remote_u), Err)
+    err.map_or(Ok(()), Err)
 }
 
-/// Decodes one peer's `U`-row batch into `out`. Every row must name a node
-/// of the pair's agreed list (`nodes`, ascending), in ascending order, and
+/// Decodes one peer's `U`-row batch into `out`; the pair's agreed list
+/// `nodes` (ascending) starts at receive lane `first_lane`. Every row must
+/// name a node of `nodes`, in ascending order, with columns below `n`, and
 /// both halves must hold exactly the entries the headers announce.
 fn decode_u_rows(
     payload: Payload,
     nodes: &[usize],
-    out: &mut HashMap<usize, FactorRow>,
+    first_lane: usize,
+    n: usize,
+    out: &mut LaneRows,
 ) -> Result<(), String> {
     let Payload::Mixed(bu, bf) = &payload else {
         return Err(format!("expected a mixed frame, got {payload:?}"));
@@ -271,29 +292,28 @@ fn decode_u_rows(
     while let [node, len, rest @ ..] = bu {
         let (node, len) = (*node as usize, *len as usize);
         // `None < Some(_)`: the first row of a frame always passes.
-        if prev >= Some(node) || nodes.binary_search(&node).is_err() {
+        let pos = nodes
+            .binary_search(&node)
+            .ok()
+            .filter(|_| prev < Some(node));
+        let Some(pos) = pos else {
             return Err(format!(
                 "row for node {node} is not next in the agreed list"
             ));
-        }
+        };
         if rest.len() < len || bf.len() <= len {
             return Err(format!("node {node}: {len} entries overrun the frame"));
         }
         let (cols, next_u) = rest.split_at(len);
         let (head, next_f) = bf.split_at(len + 1);
+        if let Some(c) = cols.iter().find(|&&c| c >= n as u64) {
+            return Err(format!("node {node}: column {c} is out of range (n = {n})"));
+        }
         let u = cols
             .iter()
             .map(|&c| c as usize)
             .zip(head[1..].iter().copied());
-        let (l, diag) = (Vec::new(), head[0]);
-        out.insert(
-            node,
-            FactorRow {
-                l,
-                diag,
-                u: u.collect(),
-            },
-        );
+        out.push(first_lane + pos, head[0], u);
         (bu, bf, prev) = (next_u, next_f, Some(node));
     }
     match (bu.len(), bf.len()) {
@@ -429,8 +449,9 @@ pub fn par_ilut(
     }
 
     // ---- Phase 1b: interface rows — eliminate my interiors, build the
-    // initial reduced rows.
-    let mut reduced: HashMap<usize, Vec<(usize, f64)>> = HashMap::new();
+    // initial reduced rows (interface `slot` is local-view position
+    // `n_interior + slot`).
+    let mut reduced = ReducedRows::new(n, local.interface.clone());
     // Row thresholds by local-view position (only interface rows read it).
     let mut tau_of = vec![0.0; local.len()];
     let n_interior = local.interior.len();
@@ -478,25 +499,22 @@ pub fn par_ilut(
         rows[n_interior + slot].l = lower.clone();
         // Reduced row: threshold always applies; ILUT* additionally caps.
         threshold_and_cap_in_place(rest, tau_i, opts.reduced_cap(), Some(i));
-        let rr = rest.clone();
-        ctx.copy_words(rr.len() as f64);
-        stats.reduced_nnz_initial += rr.len();
-        reduced.insert(i, rr);
+        ctx.copy_words(rest.len() as f64);
+        stats.reduced_nnz_initial += rest.len();
+        reduced.row_mut(slot).extend_from_slice(rest);
     }
     stats.reduced_nnz_peak = stats.reduced_nnz_initial;
-    let mut initial_reduced_cols: Vec<(usize, Vec<usize>)> = reduced
-        .iter()
-        .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-        .collect();
-    initial_reduced_cols.sort_unstable_by_key(|&(v, _)| v);
+    let initial_reduced_cols = initial_cols(&reduced);
 
     // ---- Phase 2: iterative interface factorization.
     let mut levels: Vec<Vec<usize>> = Vec::new();
     let mut level_idx = 0u64;
+    let mut remote_u = LaneRows::default();
+    let (mut pivots, mut mults) = (Vec::new(), Vec::new());
     loop {
         // Collective loop head: termination and error detection.
         let flags = ctx.all_reduce_u64(
-            vec![reduced.len() as u64, my_err.map_or(0, |_| 1)],
+            vec![reduced.live().len() as u64, my_err.map_or(0, |_| 1)],
             pilut_par::collectives::ReduceOp::Sum,
         );
         if flags[1] > 0 {
@@ -507,28 +525,16 @@ pub fn par_ilut(
         }
 
         // Track the peak reduced-matrix size.
-        let cur_nnz: usize = reduced.values().map(|r| r.len()).sum();
+        let cur_nnz = reduced.live().iter().map(|&s| reduced.row(s).len()).sum();
         stats.reduced_nnz_peak = stats.reduced_nnz_peak.max(cur_nnz);
 
-        // Column patterns for the MIS and the links.
-        let reduced_cols: HashMap<usize, Vec<usize>> = reduced
-            .iter()
-            .map(|(&v, row)| (v, row.iter().map(|&(c, _)| c).collect()))
-            .collect();
-        let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
-        let mis = dist_mis(
-            ctx,
-            &plan,
-            &reduced_cols,
-            opts.seed,
-            level_idx,
-            opts.mis_rounds,
-        )?;
+        let plan = build_level_links(ctx, dm.dist(), &mut reduced);
+        let mis = dist_mis(ctx, &plan, &reduced, opts.seed, level_idx, opts.mis_rounds)?;
 
         // Factor my I_l rows: independence means only rule-2 dropping.
         for &v in &mis.my_in {
-            // lint: allow(unwrap): set members always carry a reduced row
-            let rr = reduced.remove(&v).expect("member without a reduced row");
+            // lint: allow(unwrap): set members are my live rows
+            let rr = reduced.take(reduced.slot_of(v).expect("member is not a row of mine"));
             let pv = own_pos(local, v);
             let tau_v = tau_of[pv];
             let mut diag = 0.0;
@@ -562,44 +568,39 @@ pub fn par_ilut(
             row.diag = diag;
             row.u = u;
         }
+        reduced.retire(&mis.my_in);
         levels.push(mis.my_in.clone());
 
         // Ship the new U rows along the level plan.
-        let remote_u = ship_u_rows(ctx, &plan, tags::UROWS, local, &rows, |v| {
-            mis.my_in.binary_search(&v).is_ok()
-        })?;
+        let is_member = |v: usize| mis.my_in.binary_search(&v).is_ok();
+        let member_row = |v: usize| is_member(v).then(|| &rows[own_pos(local, v)]);
+        ship_u_rows(ctx, &plan, tags::UROWS, n, member_row, &mut remote_u)?;
 
         // Algorithm 4.2: eliminate the I_l unknowns from my remaining rows.
-        let in_level = |j: usize| -> bool {
-            mis.my_in.binary_search(&j).is_ok() || mis.remote_in.binary_search(&j).is_ok()
-        };
-        let remaining: Vec<usize> = reduced.keys().copied().collect();
-        let (mut pivots, mut mults) = (Vec::new(), Vec::new());
-        for i in remaining {
-            // lint: allow(unwrap): the level schedule covers every remaining row
-            let rr = reduced.remove(&i).unwrap();
-            let pi = own_pos(local, i);
+        let remote_row = |reduced: &ReducedRows, k| remote_u.get(reduced.lane_of(k)?);
+        let in_level = |j: usize| is_member(j) || mis.remote_in.binary_search(&j).is_ok();
+        for idx in 0..reduced.live().len() {
+            let slot = reduced.live()[idx];
+            let i = reduced.node(slot);
+            let pi = n_interior + slot;
             let tau_i = tau_of[pi];
             // Pivot columns of this row that belong to I_l (no new ones can
             // appear during the sweep: U rows of independent nodes contain no
             // I_l columns).
             pivots.clear();
-            let cols = rr.iter().map(|&(c, _)| c);
-            pivots.extend(cols.filter(|&c| c != i && in_level(c)));
+            pivots.extend(reduced.cols(slot).filter(|&c| c != i && in_level(c)));
             if pivots.is_empty() {
-                reduced.insert(i, rr);
                 continue;
             }
-            for (c, v) in rr {
+            for &(c, v) in reduced.row(slot) {
                 w.set(c, v);
             }
             mults.clear();
             for &k in &pivots {
-                let urow = if role[k] != 0 {
-                    &rows[own_pos(local, k)]
-                } else {
+                let (diag_k, u_k) = match local.pos_of(k) {
+                    Some(p) => (rows[p].diag, &rows[p].u[..]),
                     // lint: allow(unwrap): pivot rows are received before their level runs
-                    remote_u.get(&k).expect("missing U row for level pivot")
+                    None => remote_row(&reduced, k).expect("missing U row for level pivot"),
                 };
                 let wk = w.get(k);
                 w.drop_pos(k);
@@ -607,15 +608,15 @@ pub fn par_ilut(
                 if wk == 0.0 {
                     continue;
                 }
-                let mult = wk / urow.diag;
+                let mult = wk / diag_k;
                 stats.flops += 1.0;
                 if mult.abs() < tau_i {
                     continue; // first dropping rule
                 }
-                for &(j, uv) in &urow.u {
+                for &(j, uv) in u_k {
                     w.add(j, -mult * uv);
                 }
-                let cost = 2.0 * urow.u.len() as f64;
+                let cost = 2.0 * u_k.len() as f64;
                 stats.flops += cost;
                 ctx.work(cost + 1.0);
                 mults.push((k, mult));
@@ -629,10 +630,10 @@ pub fn par_ilut(
             ctx.work(cost);
             row.l = threshold_and_cap(lmerge, tau_i, opts.m, None);
             // The surviving working row becomes the next-level reduced row.
-            let rest = w.drain_sorted();
-            let rr = threshold_and_cap(rest, tau_i, opts.reduced_cap(), Some(i));
+            let rr = reduced.row_mut(slot);
+            w.drain_sorted_into(rr);
+            threshold_and_cap_in_place(rr, tau_i, opts.reduced_cap(), Some(i));
             ctx.copy_words(rr.len() as f64);
-            reduced.insert(i, rr);
         }
         level_idx += 1;
     }
@@ -708,21 +709,25 @@ mod tests {
     use pilut_par::{Machine, MachineModel};
     use pilut_sparse::gen;
 
-    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<HashMap<usize, FactorRow>, String> {
-        let mut out = HashMap::new();
-        decode_u_rows(Payload::mixed(bu, bf), &[1, 4, 6], &mut out).map(|()| out)
+    /// Decodes a batch for the agreed list `[1, 4, 6]` at lanes `1..4` of
+    /// a 10-node matrix.
+    fn decode(bu: Vec<u64>, bf: Vec<f64>) -> Result<LaneRows, String> {
+        let mut out = LaneRows::default();
+        out.reset(4);
+        decode_u_rows(Payload::mixed(bu, bf), &[1, 4, 6], 1, 10, &mut out).map(|()| out)
     }
 
     #[test]
     fn u_row_frames_decode_or_fail_structured() {
         let ok = decode(vec![1, 0, 4, 2, 6, 9], vec![2.0, 3.0, 0.5, -0.5]).unwrap();
-        assert_eq!(ok[&1].diag, 2.0);
-        assert!(ok[&1].u.is_empty());
-        assert_eq!(ok[&4].u, vec![(6, 0.5), (9, -0.5)]);
+        assert_eq!(ok.get(1), Some((2.0, &[][..])));
+        assert_eq!(ok.get(2), Some((3.0, &[(6, 0.5), (9, -0.5)][..])));
+        assert_eq!((ok.get(0), ok.get(3)), (None, None));
         for (bu, bf, what) in [
             (vec![1], vec![], "truncated row header"),
             (vec![4, 3, 6], vec![1.0, 2.0, 3.0, 4.0], "entries overrun"),
             (vec![4, 1, 6], vec![1.0], "entries overrun"),
+            (vec![4, 1, 10], vec![1.0, 2.0], "column 10 is out of range"),
             (vec![1, 0, 1, 0], vec![2.0, 2.0], "not next"),
             (vec![4, 0, 1, 0], vec![2.0, 2.0], "not next"),
             (vec![5, 0], vec![2.0], "not next"),
@@ -731,8 +736,9 @@ mod tests {
             let err = decode(bu.clone(), bf).unwrap_err();
             assert!(err.contains(what), "{bu:?}: {err}");
         }
-        let mut out = HashMap::new();
-        let err = decode_u_rows(Payload::u64s(vec![1, 0]), &[1], &mut out).unwrap_err();
+        let mut out = LaneRows::default();
+        out.reset(1);
+        let err = decode_u_rows(Payload::u64s(vec![1, 0]), &[1], 0, 10, &mut out).unwrap_err();
         assert!(err.contains("mixed frame"), "{err}");
     }
 
@@ -744,21 +750,22 @@ mod tests {
         let dm = DistMatrix::new(gen::laplace_2d(2, 1), Distribution::block(2, 2));
         let out = Machine::run(2, MachineModel::cray_t3d(), |ctx| {
             let me = ctx.rank();
-            let local = dm.local_view(me);
             let plan = CommPlan::build(ctx, tags::UROWS, vec![1 - me], |j| j);
             if me == 1 {
-                plan.replay_tagged(
+                plan.replay_framed(
                     ctx,
                     tags::UROWS,
+                    |_| true,
+                    |_| true,
                     |_, _| Payload::mixed(vec![1, 2, 0], vec![4.0, 1.0]),
                     |_, _, _| {},
                 );
                 return "sender".to_string();
             }
-            let rows = vec![FactorRow::default(); local.len()];
-            match ship_u_rows(ctx, &plan, tags::UROWS, &local, &rows, |_| false) {
+            let mut out = LaneRows::default();
+            match ship_u_rows(ctx, &plan, tags::UROWS, dm.n(), |_| None, &mut out) {
                 Err(FactorError::Protocol { tag, what }) => format!("{tag}: {what}"),
-                other => format!("unexpected: {:?}", other.map(|m| m.len())),
+                other => format!("unexpected: {other:?}"),
             }
         });
         assert_eq!(out.results[1], "sender");

@@ -80,8 +80,11 @@ fn zero_length_payloads_replay_as_counted_messages() {
         let plan = CommPlan::build(ctx, tags::MIS_TENT, needed, |j| dist.owner(j));
         let mut rounds = 0u64;
         for _ in 0..3 {
-            plan.replay(
+            plan.replay_framed(
                 ctx,
+                tags::MIS_TENT,
+                |_| true,
+                |_| true,
                 |_, _| Payload::Empty,
                 |_, _, payload| {
                     assert_eq!(payload, Payload::Empty);
@@ -99,7 +102,7 @@ fn zero_length_payloads_replay_as_counted_messages() {
 
 #[test]
 fn rebased_plan_attributes_stats_to_protocol_tag() {
-    // Regression: `replay()` on a rebased plan used to record its traffic
+    // Regression: a replay on a rebased plan used to record its traffic
     // under the private wire base instead of the protocol tag, so per-level
     // sub-plans silently vanished from the per-tag breakdown.
     let dist = Distribution::block(4, 4);
@@ -108,17 +111,12 @@ fn rebased_plan_attributes_stats_to_protocol_tag() {
         let needed = vec![(me + 1) % 4];
         let plan = CommPlan::build(ctx, tags::FWD, needed, |j| dist.owner(j))
             .rebase(tags::FWD + (3 << 20));
-        plan.replay(
-            ctx,
-            |_, nodes| Payload::u64s(nodes.iter().map(|&g| g as u64).collect()),
-            |peer, nodes, payload| {
-                assert_eq!(
-                    payload.into_u64(),
-                    nodes.iter().map(|&g| g as u64).collect::<Vec<_>>(),
-                    "from rank {peer}"
-                );
-            },
-        );
+        // Ring: my one send lane carries my node's value, my one receive
+        // lane the value of node me + 1.
+        plan.send_values(ctx, &[me as f64], &[0]);
+        let mut got = [0.0];
+        plan.recv_values(ctx, &mut got, &[0]);
+        assert_eq!(got[0], ((me + 1) % 4) as f64);
     });
     let (msgs, bytes) = out.stats.tag_totals(tags::FWD);
     assert_eq!(msgs, 4);
@@ -142,9 +140,15 @@ fn plan_rebuilt_after_rebase_starts_fresh_rounds() {
             .restrict(|_| true, |_| true)
             .rebase(tags::BWD + (1 << 20));
         let mut heard = 0u64;
-        for _ in 0..2 {
-            parent.replay(ctx, |_, _| Payload::Empty, |_, _, _| heard += 1);
-            child.replay(ctx, |_, _| Payload::Empty, |_, _, _| heard += 1);
+        for round in 0..2 {
+            for (plan, base) in [(&parent, 0.0), (&child, 100.0)] {
+                let tagged = base + (10 * round + me) as f64;
+                plan.send_values(ctx, &[tagged], &[0]);
+                let mut got = [0.0];
+                plan.recv_values(ctx, &mut got, &[0]);
+                assert_eq!(got[0], base + (10 * round + (me + 1) % 4) as f64);
+                heard += 1;
+            }
         }
         heard
     });

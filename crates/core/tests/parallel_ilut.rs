@@ -1,6 +1,7 @@
 //! Integration tests of the parallel ILUT/ILUT* factorization and the
 //! parallel triangular solves, cross-checked against the serial algorithms.
 
+use pilut_core::dist::exchange::tags;
 use pilut_core::dist::DistMatrix;
 use pilut_core::options::{FactorError, IlutOptions};
 use pilut_core::parallel::{par_ilut, RankFactors};
@@ -301,4 +302,27 @@ fn solve_roundtrip_repeatable_for_gmres_use() {
     for (x1, x2) in out.results {
         assert_eq!(x1, x2);
     }
+}
+
+#[test]
+fn u_row_shipment_is_exactly_planned() {
+    // Every U-row round prices the frames it ships, so the planned ledger
+    // matches the measured urows traffic message for message and byte for
+    // byte, with the exact flag set.
+    let dm = DistMatrix::from_matrix(gen::torso(12), 4, 17);
+    let opts = IlutOptions::new(20, 1e-6);
+    let out = Machine::run_checked(4, MachineModel::cray_t3d(), |ctx| {
+        let local = dm.local_view(ctx.rank());
+        par_ilut(ctx, &dm, &local, &opts).unwrap().stats.levels
+    });
+    assert!(out.results[0] > 1, "the run must ship U rows over levels");
+    let measured = out.stats.tag_totals(tags::UROWS);
+    assert!(measured.1 > 0, "U rows must cross ranks");
+    let &(messages, bytes, exact) = out
+        .stats
+        .planned_by_tag
+        .get(&tags::UROWS)
+        .expect("U-row rounds record predictions");
+    assert_eq!(measured, (messages, bytes));
+    assert!(exact, "urows must be exactly planned");
 }

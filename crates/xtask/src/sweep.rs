@@ -4,14 +4,14 @@
 //! extraction, and the generic first-failing shrink loop. Each suite keeps
 //! only its own sweep policy (what to perturb, how to classify outcomes).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use pilut_core::dist::op::{DistCsr, DistOperator};
 use pilut_core::dist::{DistMatrix, Distribution};
 use pilut_core::options::IlutOptions;
 use pilut_core::parallel::dist_mis::{build_level_links, dist_mis};
-use pilut_core::parallel::par_ilut;
+use pilut_core::parallel::{par_ilut, ReducedRows};
 use pilut_core::trisolve::{dist_solve, TrisolvePlan};
 use pilut_par::{Machine, MachineBuilder, MachineModel};
 use pilut_solver::dist_gmres::{dist_gmres, DistIlu};
@@ -185,14 +185,15 @@ pub fn run_workload(work: &str, dm: &DistMatrix, p: usize, builder: MachineBuild
             // — the same call sequence the factorization's level loop
             // makes, without the elimination around it, so schedule and
             // fault perturbations aim squarely at the delta protocol.
-            let reduced_cols: HashMap<usize, Vec<usize>> = dm
-                .dist()
-                .rows_of(ctx.rank())
-                .iter()
-                .map(|&g| (g, dm.matrix().row(g).0.to_vec()))
-                .collect();
-            let plan = build_level_links(ctx, dm.dist(), &reduced_cols);
-            let mis = dist_mis(ctx, &plan, &reduced_cols, 0x5eed, 0, 5)
+            let mine = dm.dist().rows_of(ctx.rank());
+            let mut rows = ReducedRows::new(dm.n(), mine.to_vec());
+            for (slot, &g) in mine.iter().enumerate() {
+                let (cols, vals) = dm.matrix().row(g);
+                rows.row_mut(slot)
+                    .extend(cols.iter().copied().zip(vals.iter().copied()));
+            }
+            let plan = build_level_links(ctx, dm.dist(), &mut rows);
+            let mis = dist_mis(ctx, &plan, &rows, 0x5eed, 0, 5)
                 // lint: allow(unwrap): sweep frames are well-formed by construction; a protocol error here is a real bug
                 .expect("sweep MIS must decode its own frames");
             let mut h = 0x5eed_0003u64;
