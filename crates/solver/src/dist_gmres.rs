@@ -5,17 +5,19 @@
 //! any [`DistOperator`] — canonically [`DistCsr`](pilut_core::dist::op::DistCsr),
 //! the planned boundary exchange of [`pilut_core::dist::spmv`] — and the
 //! preconditioner action is either a diagonal scaling or the parallel
-//! ILUT/ILUT\* triangular solves of [`pilut_core::trisolve`]. The small
-//! Hessenberg least-squares recurrence is replicated on every rank — the
-//! deterministic reduction tree guarantees bit-identical replicas.
+//! ILUT/ILUT\* triangular solves of [`pilut_core::trisolve`]. The
+//! recurrence is the one GMRES kernel of [`mod@crate::gmres`] over this
+//! space; its small Hessenberg least-squares problem is replicated on every
+//! rank — the deterministic reduction tree guarantees bit-identical replicas.
 
 use pilut_core::dist::op::DistOperator;
 use pilut_core::dist::{DistMatrix, LocalView};
 use pilut_core::parallel::RankFactors;
 use pilut_core::trisolve::{dist_solve, dist_solve_into, SolveScratch, TrisolvePlan};
 use pilut_par::Ctx;
+use pilut_sparse::vec_ops::dot;
 
-use crate::gmres::GmresOptions;
+use crate::gmres::{krylov, GmresOptions, Space};
 use crate::report::Breakdown;
 
 /// A distributed preconditioner: maps a local residual slice to a local
@@ -168,14 +170,39 @@ pub struct DistGmresResult {
     pub breakdown: Option<Breakdown>,
 }
 
-fn ddot(ctx: &mut Ctx, a: &[f64], b: &[f64]) -> f64 {
-    let local: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    ctx.work(2.0 * a.len() as f64);
-    ctx.all_reduce_sum(local)
+/// The distributed space: every dot product is a local sum, its flops,
+/// then an all-reduce, and local vector work is charged to the logical
+/// clock.
+struct Distributed<'a> {
+    ctx: &'a mut Ctx,
+    op: &'a mut dyn DistOperator,
+    local: &'a LocalView,
+    precond: &'a mut dyn DistPrecond,
 }
 
-fn dnorm(ctx: &mut Ctx, a: &[f64]) -> f64 {
-    ddot(ctx, a, a).sqrt()
+impl Space for Distributed<'_> {
+    fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
+        let local = dot(a, b);
+        self.ctx.work(2.0 * a.len() as f64);
+        self.ctx.all_reduce_sum(local)
+    }
+
+    fn matvec(&mut self, x: &[f64], y: &mut [f64]) {
+        self.op.apply_into(self.ctx, x, y);
+    }
+
+    fn precond(&mut self, r: &[f64], z: &mut [f64]) {
+        self.precond.apply_into(self.ctx, self.local, r, z);
+    }
+
+    fn work(&mut self, flops: f64) {
+        self.ctx.work(flops);
+    }
+
+    fn agree_finite(&mut self, z: &[f64]) -> bool {
+        let poisoned = z.iter().any(|zi| !zi.is_finite()) as u64;
+        self.ctx.all_reduce_sum_u64(poisoned) == 0
+    }
 }
 
 /// Right-preconditioned GMRES(restart) over a distributed operator.
@@ -210,194 +237,26 @@ pub fn dist_gmres_from(
     b: &[f64],
     opts: &GmresOptions,
     x0: Option<Vec<f64>>,
-    mut ckpt: Option<&mut Vec<f64>>,
+    ckpt: Option<&mut Vec<f64>>,
 ) -> DistGmresResult {
     let nl = local.len();
     assert_eq!(b.len(), nl);
     assert_eq!(op.local_len(), nl);
-    let mut x = x0.unwrap_or_else(|| vec![0.0; nl]);
+    let x = x0.unwrap_or_else(|| vec![0.0; nl]);
     assert_eq!(x.len(), nl, "warm start must be in local-view order");
-    let b_norm = dnorm(ctx, b);
-    // lint: allow(float-eq): exact zero-RHS short-circuit
-    if b_norm == 0.0 {
-        // The exact solution of `A x = 0` is zero regardless of any warm
-        // start: return zeros, not `x0`.
-        return DistGmresResult {
-            x_local: vec![0.0; nl],
-            converged: true,
-            matvecs: 0,
-            rel_residual: 0.0,
-            breakdown: None,
-        };
-    }
-    let target = opts.rtol * b_norm;
-    let m = opts.restart.max(1);
-    let mut matvecs = 0usize;
-    // Workspace, allocated once per solve (see the serial `gmres` twin):
-    // every restart cycle and inner iteration reuses it, and the inner loop
-    // runs under the `gmres_inner` audit region with zero steady
-    // acquisitions.
-    let mut v: Vec<Vec<f64>> = (0..=m).map(|_| vec![0.0; nl]).collect();
-    let mut h = vec![vec![0.0f64; m]; m + 1];
-    let mut cs = vec![0.0f64; m];
-    let mut sn = vec![0.0f64; m];
-    let mut g = vec![0.0f64; m + 1];
-    let mut ax = vec![0.0; nl];
-    let mut z = vec![0.0; nl];
-    let mut w = vec![0.0; nl];
-    let mut y = vec![0.0f64; m];
-    let mut vy = vec![0.0; nl];
-    let mut breakdown: Option<Breakdown> = None;
-    let mut prev_beta = f64::INFINITY;
-    let mut stalled_cycles = 0usize;
-
-    'outer: loop {
-        op.apply_into(ctx, &x, &mut ax);
-        matvecs += 1;
-        for ((ri, bi), yi) in v[0].iter_mut().zip(b).zip(&ax) {
-            *ri = bi - yi;
-        }
-        let beta = dnorm(ctx, &v[0]);
-        if !beta.is_finite() {
-            breakdown = Some(Breakdown::NonFinite { at: matvecs });
-            break 'outer;
-        }
-        if beta <= target || matvecs >= opts.max_matvecs {
-            return DistGmresResult {
-                x_local: x,
-                converged: beta <= target,
-                matvecs,
-                rel_residual: beta / b_norm,
-                breakdown: None,
-            };
-        }
-        if beta >= prev_beta * (1.0 - 1e-12) {
-            stalled_cycles += 1;
-            if stalled_cycles >= 2 {
-                breakdown = Some(Breakdown::Stagnation { at: matvecs });
-                break 'outer;
-            }
-        } else {
-            stalled_cycles = 0;
-        }
-        prev_beta = beta;
-        for ri in &mut v[0] {
-            *ri /= beta;
-        }
-        ctx.work(nl as f64);
-        for col in h.iter_mut() {
-            col.fill(0.0);
-        }
-        g.fill(0.0);
-        g[0] = beta;
-        let mut inner = 0usize;
-
-        let audit = pilut_allocaudit::region("gmres_inner");
-        for j in 0..m {
-            precond.apply_into(ctx, local, &v[j], &mut z);
-            op.apply_into(ctx, &z, &mut w);
-            matvecs += 1;
-            for i in 0..=j {
-                let hij = ddot(ctx, &w, &v[i]);
-                h[i][j] = hij;
-                for (wk, vk) in w.iter_mut().zip(&v[i]) {
-                    *wk -= hij * vk;
-                }
-                ctx.work(2.0 * nl as f64);
-            }
-            let wn = dnorm(ctx, &w);
-            if !wn.is_finite() {
-                // Poisoned column (same verdict on every rank): discard it
-                // and solve with the clean prefix below.
-                breakdown = Some(Breakdown::NonFinite { at: matvecs });
-                inner = j;
-                break;
-            }
-            h[j + 1][j] = wn;
-            for i in 0..j {
-                let t = cs[i] * h[i][j] + sn[i] * h[i + 1][j];
-                h[i + 1][j] = -sn[i] * h[i][j] + cs[i] * h[i + 1][j];
-                h[i][j] = t;
-            }
-            let denom = (h[j][j] * h[j][j] + wn * wn).sqrt();
-            // lint: allow(float-eq): exact-zero guard before division
-            if denom == 0.0 {
-                inner = j;
-                break;
-            }
-            cs[j] = h[j][j] / denom;
-            sn[j] = wn / denom;
-            h[j][j] = denom;
-            g[j + 1] = -sn[j] * g[j];
-            g[j] *= cs[j];
-            inner = j + 1;
-            // lint: allow(float-eq): exact (lucky) breakdown test
-            let lucky = wn == 0.0;
-            if !lucky {
-                for (next, wi) in v[j + 1].iter_mut().zip(&w) {
-                    *next = wi / wn;
-                }
-                ctx.work(nl as f64);
-            }
-            if g[j + 1].abs() <= target || matvecs >= opts.max_matvecs || lucky {
-                break;
-            }
-        }
-        y[..inner].fill(0.0);
-        for i in (0..inner).rev() {
-            let mut s = g[i];
-            for k in i + 1..inner {
-                s -= h[i][k] * y[k];
-            }
-            y[i] = s / h[i][i];
-        }
-        vy.fill(0.0);
-        for (i, yi) in y.iter().take(inner).enumerate() {
-            for (acc, vk) in vy.iter_mut().zip(&v[i]) {
-                *acc += yi * vk;
-            }
-        }
-        ctx.work(2.0 * inner as f64 * nl as f64);
-        precond.apply_into(ctx, local, &vy, &mut z);
-        drop(audit);
-        // Guard the update collectively: every rank must agree on whether
-        // the correction is applied, so the verdict is an all-reduce.
-        let poisoned = z.iter().any(|zi| !zi.is_finite()) as u64;
-        if ctx.all_reduce_sum_u64(poisoned) == 0 {
-            for (xi, zi) in x.iter_mut().zip(&z) {
-                *xi += zi;
-            }
-        } else {
-            breakdown.get_or_insert(Breakdown::NonFinite { at: matvecs });
-        }
-        ctx.work(nl as f64);
-        // End of the restart cycle: the iterate is consistent on every rank
-        // (the correction above was applied under a collective verdict), so
-        // this is the safe point to checkpoint for rank-loss recovery.
-        if let Some(c) = ckpt.as_deref_mut() {
-            c.clear();
-            c.extend_from_slice(&x);
-        }
-        if breakdown.is_some() || matvecs >= opts.max_matvecs {
-            break 'outer;
-        }
-    }
-    // Budget exhausted or breakdown: report the true residual (reusing the
-    // workspace buffers).
-    op.apply_into(ctx, &x, &mut ax);
-    for ((ri, bi), yi) in w.iter_mut().zip(b).zip(&ax) {
-        *ri = bi - yi;
-    }
-    let mut rel = dnorm(ctx, &w) / b_norm;
-    if !rel.is_finite() {
-        rel = f64::INFINITY;
-    }
+    let mut space = Distributed {
+        ctx,
+        op,
+        local,
+        precond,
+    };
+    let r = krylov(&mut space, b, x, opts, ckpt);
     DistGmresResult {
-        converged: rel <= opts.rtol,
-        x_local: x,
-        matvecs,
-        rel_residual: rel,
-        breakdown,
+        x_local: r.x,
+        converged: r.converged,
+        matvecs: r.matvecs,
+        rel_residual: r.rel_residual,
+        breakdown: r.breakdown,
     }
 }
 
@@ -530,7 +389,69 @@ mod tests {
             },
         );
         assert!(!conv);
-        assert!(mv <= 6);
+        assert!(mv <= 5);
+    }
+
+    /// The identity, except that the `k`-th application (1-based) on rank
+    /// `rank` returns NaNs.
+    struct PoisonOnRank {
+        rank: usize,
+        k: usize,
+        calls: usize,
+    }
+
+    impl DistPrecond for PoisonOnRank {
+        fn apply(&mut self, ctx: &mut Ctx, local: &LocalView, r: &[f64]) -> Vec<f64> {
+            let mut z = vec![0.0; r.len()];
+            self.apply_into(ctx, local, r, &mut z);
+            z
+        }
+
+        fn apply_into(&mut self, ctx: &mut Ctx, _local: &LocalView, r: &[f64], z: &mut [f64]) {
+            self.calls += 1;
+            z.copy_from_slice(r);
+            if self.calls == self.k && ctx.rank() == self.rank {
+                z.fill(f64::NAN);
+            }
+        }
+
+        fn name(&self) -> String {
+            "poison".into()
+        }
+    }
+
+    #[test]
+    fn poisoned_correction_on_one_rank_is_skipped_on_every_rank() {
+        // GMRES(5) runs five clean inner steps; the sixth application is the
+        // end-of-cycle correction M⁻¹(V y), poisoned on rank 1 only. The
+        // verdict is collective, so rank 0 skips its (finite) correction too
+        // and both ranks report the same breakdown.
+        let a = gen::laplace_2d(12, 12);
+        let dm = DistMatrix::from_matrix(a, 2, 23);
+        let out = Machine::run_checked(2, MachineModel::cray_t3d(), |ctx| {
+            let local = dm.local_view(ctx.rank());
+            let mut op = DistCsr::new(ctx, &dm, &local);
+            let b = vec![1.0; local.len()];
+            let mut pre = PoisonOnRank {
+                rank: 1,
+                k: 6,
+                calls: 0,
+            };
+            let opts = GmresOptions {
+                restart: 5,
+                rtol: 1e-14,
+                ..Default::default()
+            };
+            dist_gmres(ctx, &mut op, &local, &mut pre, &b, &opts)
+        });
+        for r in &out.results {
+            assert_eq!(r.breakdown, Some(Breakdown::NonFinite { at: 6 }));
+            assert_eq!(r.matvecs, 6);
+            assert!(!r.converged);
+        }
+        let x0 = &out.results[0].x_local;
+        assert!(!x0.is_empty());
+        assert!(x0.iter().all(|&v| v == 0.0), "rank 0 kept the zero start");
     }
 
     #[test]

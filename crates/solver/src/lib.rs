@@ -9,6 +9,9 @@
 //! * [`dist_gmres()`] — the distributed solver running on the `pilut-par`
 //!   virtual machine, with distributed SpMV, all-reduce inner products and
 //!   the parallel triangular solves as the preconditioner action.
+//!
+//! Both run one restarted-GMRES kernel ([`mod@gmres`]) over a local or an
+//! all-reduced inner-product space; at p = 1 they return the same bits.
 
 //! Robustness layer: all solvers detect numerical breakdown (non-finite
 //! Arnoldi/recurrence values, stagnation across restarts, indefinite

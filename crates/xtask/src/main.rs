@@ -41,8 +41,8 @@
 //!   `with_capacity`, `.collect(`, `.to_vec(`, `.clone(`, `Box::new`,
 //!   `format!`, `String::new`) are forbidden in the declared hot modules
 //!   ([`HOT_MODULES`]): the sparse work-row and tile kernels, the serial
-//!   and distributed triangular-solve functions, and the whole `CommPlan`
-//!   replay half.
+//!   and distributed triangular-solve functions, the whole `CommPlan`
+//!   replay half, and the GMRES restart cycles.
 //!   A listed file or function that no longer exists is a violation too.
 //!   The scan is a token walk over the blanked text — macro
 //!   invocations are first-class tokens, so `vec![` in a string or
@@ -460,6 +460,7 @@ const HOT_MODULES: &[(&str, &[&str])] = &[
         &["dist_solve_into", "forward_segments", "backward_segments"],
     ),
     ("crates/core/src/dist/exchange/replay.rs", &["*"]),
+    ("crates/solver/src/gmres.rs", &["restart_cycles"]),
 ];
 
 /// Allocation tokens the hot-path rule recognizes on a blanked code line.
